@@ -18,7 +18,6 @@ from .tensor import (
     ConfigError,
     ShapeError,
     Tensor,
-    bilinear_upsample,
     concat,
     conv2d,
     layer_norm,
@@ -373,9 +372,8 @@ class Backbone:
         body = tiles.reshape(g, g, ps, ps).transpose(0, 2, 1, 3).reshape(S, S)
         if not use_upsampler:
             return body
-        feat = bilinear_upsample(body.reshape(1, S, S), 1)
         res = conv2d(
-            feat,
+            body.reshape(1, S, S),
             self.params["upsampler.kernel"],
             bias=self.params["upsampler.bias"],
             padding=2,
@@ -387,17 +385,11 @@ class Backbone:
     def forward(self, image: np.ndarray, tokens: np.ndarray, state=None,
                 rng=None) -> Tensor:
         """Full text-conditioned segmentation pass; ``state`` carries prompts."""
-        from .prompts import build_prompts
+        from . import prompts
 
-        if state is None:
-            img_enc = self.encode_image(image)
-            txt_enc = self.encode_text(tokens)
-            return self.decode(img_enc.patch_tokens, txt_enc.z)
-        textual, visual = build_prompts(state, rng=rng, train=rng is not None)
+        textual, visual = prompts.build_prompts(state, rng=rng, train=rng is not None)
         img_enc = self.encode_image(image, visual_prompts=visual)
-        if state.kind == "cocoop":
-            from .prompts import cocoop_condition
-
-            textual = cocoop_condition(state, img_enc.z)
+        if state is not None and state.strategy.image_conditioned:
+            textual = prompts.cocoop_condition(state, img_enc.z)
         txt_enc = self.encode_text(tokens, textual_prompts=textual)
         return self.decode(img_enc.patch_tokens, txt_enc.z)

@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import runner, sweep as sweep_mod
-from .dataio import SyntheticTaskSpec, generate_dataset, save_dataset
-from .prompts import TEXT_SPACE_INIT_KINDS
+from .dataio import save_dataset
+from .prompts import STRATEGIES
 from .tensor import ConfigError
 from .training import FreezeViolationError
 
@@ -47,13 +47,7 @@ def _prepare(args) -> tuple[dict, Path]:
 
 def cmd_gen_data(args) -> int:
     cfg, out = _prepare(args)
-    d = cfg["data"]
-    spec = SyntheticTaskSpec(
-        n_classes=d["n_classes"], image_size=d["image_size"],
-        samples_per_split={"train": d["train"], "val": d["val"], "test": d["test"]},
-        seed=d["seed"], align=d["align"],
-    )
-    manifest = save_dataset(out / "dataset", generate_dataset(spec))
+    manifest = save_dataset(out / "dataset", runner.synthetic_dataset(cfg))
     print(f"wrote {manifest}")
     return 0
 
@@ -88,25 +82,19 @@ def cmd_sweep(args) -> int:
 def cmd_ablate_upsampler(args) -> int:
     cfg, out = _prepare(args)
     dataset = runner.get_dataset(cfg)
-    strategies = [cfg["strategy"]]
+    strategy = cfg["strategy"]
     rows = []
-    for strategy in strategies:
-        arm_dice = {}
-        checksums = {}
-        for use_up in (True, False):
-            arm_cfg = copy.deepcopy(cfg)
-            arm_cfg["strategy"] = strategy
-            arm_cfg["backbone"]["use_upsampler"] = use_up
-            artifacts, test_dice, model, _ = runner.run_training(
-                arm_cfg, dataset=dataset
-            )
-            arm_dice[use_up] = test_dice
-            checksums[use_up] = model.frozen_checksum()
-            rows.append({"strategy": strategy, "use_upsampler": use_up,
-                         "test_dice": test_dice,
-                         "val_dice": artifacts.final_val_dice})
-        delta = arm_dice[True] - arm_dice[False]
-        rows.append({"strategy": strategy, "delta_with_minus_without": delta})
+    arm_dice = {}
+    for use_up in (True, False):
+        arm_cfg = copy.deepcopy(cfg)
+        arm_cfg["backbone"]["use_upsampler"] = use_up
+        artifacts, test_dice, _, _ = runner.run_training(arm_cfg, dataset=dataset)
+        arm_dice[use_up] = test_dice
+        rows.append({"strategy": strategy, "use_upsampler": use_up,
+                     "test_dice": test_dice,
+                     "val_dice": artifacts.final_val_dice})
+    rows.append({"strategy": strategy,
+                 "delta_with_minus_without": arm_dice[True] - arm_dice[False]})
     report = {
         "note": ("signed test-dice delta with vs without the learnable residual "
                  f"upsampler; full-scale reference mean drop without it: "
@@ -120,7 +108,7 @@ def cmd_ablate_upsampler(args) -> int:
 
 def cmd_ablate_init(args) -> int:
     cfg, out = _prepare(args)
-    if cfg["strategy"] not in TEXT_SPACE_INIT_KINDS:
+    if not STRATEGIES[cfg["strategy"]].text_space_init:
         raise ConfigError(
             f"init ablation needs text-space depth-1 prompts; {cfg['strategy']!r} "
             "has none"

@@ -1,4 +1,4 @@
-"""The six context learners and their injection / coupling mechanics.
+"""The seven context learners and their injection / coupling mechanics.
 
 Textual prompts are prepended in front of the word embeddings; visual prompts
 are appended after the CLS token and patch embeddings.  Below the prompt depth
@@ -6,31 +6,22 @@ the previous layer's prompt-slot outputs are discarded and fresh parameters
 are injected; at and beyond the depth the slots ride along like ordinary
 tokens.  Multimodal learners derive both modalities' prompts from unified
 prompts through a per-layer coupling function.
+
+Everything that differs between the learners is one entry of ``STRATEGIES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .backbone import Backbone, init_block_params, transformer_block
 from .tensor import ConfigError, Tensor, concat, layer_norm, matmul, relu
 
-KINDS = (
-    "deep-textual",
-    "coop",
-    "cocoop",
-    "vpt",
-    "maple",
-    "shared-attention",
-    "shared-separate",
-)
-TEXTUAL_KINDS = ("deep-textual", "coop", "cocoop")
-MULTIMODAL_KINDS = ("maple", "shared-attention", "shared-separate")
-TEXT_SPACE_INIT_KINDS = ("deep-textual", "coop", "cocoop", "maple")
-
 INIT_PHRASE = "a photo of a"
+SIGMA = 0.02
 
 
 @dataclass
@@ -54,145 +45,12 @@ class PromptState:
     coupler: CouplerConfig | None = None
     dims: dict[str, int] = field(default_factory=dict)
 
+    @property
+    def strategy(self) -> Strategy:
+        return STRATEGIES[self.kind]
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.params.items())
-
-
-def _depth_bound(kind: str, cfg) -> int:
-    if kind in TEXTUAL_KINDS:
-        return cfg.text_layers
-    if kind == "vpt":
-        return cfg.vision_layers
-    return min(cfg.text_layers, cfg.vision_layers)
-
-
-def init_prompts(
-    kind: str,
-    B: int,
-    J: int,
-    backbone: Backbone,
-    coupler: CouplerConfig | None = None,
-    init_mode: str = "gaussian",
-    seed: int = 0,
-) -> PromptState:
-    if kind not in KINDS:
-        raise ConfigError(f"unknown strategy kind {kind!r}")
-    if B < 1:
-        raise ConfigError("prompt length B must be at least 1")
-    cfg = backbone.cfg
-    bound = _depth_bound(kind, cfg)
-    if not 1 <= J <= bound:
-        raise ConfigError(f"prompt depth {J} outside [1, {bound}] for {kind}")
-    if kind == "coop" and J != 1:
-        raise ConfigError("coop is the depth-1 special case; use deep-textual for J > 1")
-    if init_mode not in ("gaussian", "photo-of-a"):
-        raise ConfigError(f"unknown init mode {init_mode!r}")
-    if init_mode == "photo-of-a" and kind not in TEXT_SPACE_INIT_KINDS:
-        raise ConfigError(
-            f"photo-of-a init needs depth-1 prompts in text space, not valid for {kind}"
-        )
-
-    rng = np.random.default_rng(seed)
-    sigma = 0.02
-    H_l, H_v, H_vl = cfg.text_width, cfg.vision_width, cfg.joint_width
-    coupler = coupler or CouplerConfig()
-    params: dict[str, Tensor] = {}
-
-    def gauss(*shape):
-        return Tensor(rng.normal(0.0, sigma, shape), requires_grad=True)
-
-    def phrase_rows() -> np.ndarray:
-        ids = list(INIT_PHRASE.encode("utf-8"))
-        table = backbone.params["text.embed"].data
-        rows = table[ids]
-        if B <= len(ids):
-            return rows[:B].copy()
-        pad = rng.normal(0.0, sigma, (B - len(ids), H_l))
-        return np.concatenate([rows, pad], axis=0)
-
-    def text_space_prompt(depth: int, name: str):
-        if depth == 0 and init_mode == "photo-of-a":
-            params[name] = Tensor(phrase_rows(), requires_grad=True)
-        else:
-            params[name] = gauss(B, H_l)
-
-    if kind in TEXTUAL_KINDS:
-        for i in range(J):
-            text_space_prompt(i, f"textual{i}")
-        if kind == "cocoop":
-            inter = coupler.intermediate_dim
-            params["meta.w1"] = Tensor(
-                rng.normal(0.0, 1.0 / np.sqrt(H_vl), (H_vl, inter)), requires_grad=True
-            )
-            params["meta.b1"] = Tensor(np.zeros(inter), requires_grad=True)
-            # zero output layer: starts exactly at the unconditioned learner
-            params["meta.w2"] = Tensor(np.zeros((inter, H_l)), requires_grad=True)
-            params["meta.b2"] = Tensor(np.zeros(H_l), requires_grad=True)
-    elif kind == "vpt":
-        for i in range(J):
-            params[f"visual{i}"] = gauss(B, H_v)
-    elif kind == "maple":
-        if coupler.unified_dim != H_l:
-            raise ConfigError(
-                f"maple unified prompts live in text space: H_u must equal {H_l}, "
-                f"got {coupler.unified_dim}"
-            )
-        for i in range(J):
-            text_space_prompt(i, f"unified{i}")
-            if coupler.use_lora:
-                r = coupler.intermediate_dim
-                params[f"coupler{i}.lora_a"] = Tensor(
-                    rng.normal(0.0, 1.0 / np.sqrt(H_l), (H_l, r)), requires_grad=True
-                )
-                params[f"coupler{i}.lora_b"] = Tensor(
-                    rng.normal(0.0, sigma, (H_v, r)), requires_grad=True
-                )
-            else:
-                params[f"coupler{i}.w"] = Tensor(
-                    rng.normal(0.0, 1.0 / np.sqrt(H_l), (H_l, H_v)), requires_grad=True
-                )
-            params[f"coupler{i}.b"] = Tensor(np.zeros(H_v), requires_grad=True)
-    elif kind == "shared-separate":
-        H_u = coupler.unified_dim
-        for i in range(J):
-            params[f"unified{i}"] = gauss(B, H_u)
-            for branch, width in (("l", H_l), ("v", H_v)):
-                params[f"coupler{i}.to_{branch}.w"] = Tensor(
-                    rng.normal(0.0, 1.0 / np.sqrt(H_u), (H_u, width)), requires_grad=True
-                )
-                params[f"coupler{i}.to_{branch}.b"] = Tensor(
-                    np.zeros(width), requires_grad=True
-                )
-                if coupler.use_layernorm:
-                    params[f"coupler{i}.to_{branch}.ln.g"] = Tensor(
-                        np.ones(width), requires_grad=True
-                    )
-                    params[f"coupler{i}.to_{branch}.ln.b"] = Tensor(
-                        np.zeros(width), requires_grad=True
-                    )
-    elif kind == "shared-attention":
-        H_u = coupler.unified_dim
-        if H_u % coupler.attn_heads != 0:
-            raise ConfigError(
-                f"{coupler.attn_heads} attention heads do not divide H_u={H_u}"
-            )
-        for i in range(J):
-            params[f"unified{i}"] = gauss(B, H_u)
-            init_block_params(params, f"coupler{i}.block", H_u, coupler.attn_ff_dim, rng)
-            for branch, width in (("l", H_l), ("v", H_v)):
-                params[f"coupler{i}.head_{branch}.w"] = Tensor(
-                    rng.normal(0.0, 1.0 / np.sqrt(H_u), (H_u, width)), requires_grad=True
-                )
-                params[f"coupler{i}.head_{branch}.b"] = Tensor(
-                    np.zeros(width), requires_grad=True
-                )
-        for name, t in params.items():
-            t.requires_grad = True
-
-    return PromptState(
-        kind=kind, B=B, J=J, params=params, coupler=coupler,
-        dims={"H_l": H_l, "H_v": H_v, "H_vl": H_vl, "H_u": coupler.unified_dim},
-    )
 
 
 # -- injection ---------------------------------------------------------------
@@ -224,53 +82,233 @@ def inject_visual(layer_index: int, seq: Tensor, prompts: list[Tensor],
     return seq
 
 
-# -- coupling ----------------------------------------------------------------
+# -- parameter creation ------------------------------------------------------
+
+
+class _Init:
+    """Shapes, coupler config and the one seeded generator an initializer
+    draws from.  Initializers yield (name, array) pairs in insertion order,
+    which is both the checkpoint order and the order of the random draws."""
+
+    def __init__(self, B: int, J: int, backbone: Backbone, coupler: CouplerConfig,
+                 init_mode: str, seed: int):
+        cfg = backbone.cfg
+        self.B, self.J, self.coupler = B, J, coupler
+        self.H_l, self.H_v, self.H_vl = cfg.text_width, cfg.vision_width, cfg.joint_width
+        self.embed = (backbone.params["text.embed"].data
+                      if init_mode == "photo-of-a" else None)
+        self.rng = np.random.default_rng(seed)
+
+    def gauss(self, *shape) -> np.ndarray:
+        return self.rng.normal(0.0, SIGMA, shape)
+
+    def linear(self, din: int, dout: int) -> np.ndarray:
+        return self.rng.normal(0.0, 1.0 / np.sqrt(din), (din, dout))
+
+    def text_prompt(self, depth: int) -> np.ndarray:
+        """[B, H_l]; under photo-of-a init the depth-0 prompt is the embedded
+        init phrase, cut to B rows or padded with gaussian ones."""
+        if depth > 0 or self.embed is None:
+            return self.gauss(self.B, self.H_l)
+        rows = self.embed[list(INIT_PHRASE.encode("utf-8"))]
+        if self.B <= len(rows):
+            return rows[: self.B]
+        return np.concatenate([rows, self.gauss(self.B - len(rows), self.H_l)], axis=0)
+
+
+def _init_textual(ini: _Init):
+    for i in range(ini.J):
+        yield f"textual{i}", ini.text_prompt(i)
+
+
+def _init_cocoop(ini: _Init):
+    yield from _init_textual(ini)
+    inter = ini.coupler.intermediate_dim
+    yield "meta.w1", ini.linear(ini.H_vl, inter)
+    yield "meta.b1", np.zeros(inter)
+    # zero output layer: starts exactly at the unconditioned learner
+    yield "meta.w2", np.zeros((inter, ini.H_l))
+    yield "meta.b2", np.zeros(ini.H_l)
+
+
+def _init_vpt(ini: _Init):
+    for i in range(ini.J):
+        yield f"visual{i}", ini.gauss(ini.B, ini.H_v)
+
+
+def _init_maple(ini: _Init):
+    c = ini.coupler
+    if c.unified_dim != ini.H_l:
+        raise ConfigError(
+            f"maple unified prompts live in text space: H_u must equal {ini.H_l}, "
+            f"got {c.unified_dim}"
+        )
+    for i in range(ini.J):
+        yield f"unified{i}", ini.text_prompt(i)
+        if c.use_lora:
+            yield f"coupler{i}.lora_a", ini.linear(ini.H_l, c.intermediate_dim)
+            yield f"coupler{i}.lora_b", ini.gauss(ini.H_v, c.intermediate_dim)
+        else:
+            yield f"coupler{i}.w", ini.linear(ini.H_l, ini.H_v)
+        yield f"coupler{i}.b", np.zeros(ini.H_v)
+
+
+def _init_shared_separate(ini: _Init):
+    H_u = ini.coupler.unified_dim
+    for i in range(ini.J):
+        yield f"unified{i}", ini.gauss(ini.B, H_u)
+        for branch, width in (("l", ini.H_l), ("v", ini.H_v)):
+            pre = f"coupler{i}.to_{branch}"
+            yield f"{pre}.w", ini.linear(H_u, width)
+            yield f"{pre}.b", np.zeros(width)
+            if ini.coupler.use_layernorm:
+                yield f"{pre}.ln.g", np.ones(width)
+                yield f"{pre}.ln.b", np.zeros(width)
+
+
+def _init_shared_attention(ini: _Init):
+    c = ini.coupler
+    H_u = c.unified_dim
+    if H_u % c.attn_heads != 0:
+        raise ConfigError(f"{c.attn_heads} attention heads do not divide H_u={H_u}")
+    for i in range(ini.J):
+        yield f"unified{i}", ini.gauss(ini.B, H_u)
+        block: dict[str, Tensor] = {}
+        init_block_params(block, f"coupler{i}.block", H_u, c.attn_ff_dim, ini.rng)
+        yield from ((name, t.data) for name, t in block.items())
+        for branch, width in (("l", ini.H_l), ("v", ini.H_v)):
+            yield f"coupler{i}.head_{branch}.w", ini.linear(H_u, width)
+            yield f"coupler{i}.head_{branch}.b", np.zeros(width)
+
+
+# -- one layer's (textual, visual) prompts -----------------------------------
+
+
+def _pair_textual(state: PromptState, i: int, rng, train: bool):
+    return state.params[f"textual{i}"], None
+
+
+def _pair_visual(state: PromptState, i: int, rng, train: bool):
+    return None, state.params[f"visual{i}"]
+
+
+def _couple_maple(state: PromptState, i: int, rng, train: bool):
+    p = state.params
+    unified = p[f"unified{i}"]
+    if state.coupler.use_lora:
+        w = matmul(p[f"coupler{i}.lora_a"], p[f"coupler{i}.lora_b"].transpose(1, 0))
+    else:
+        w = p[f"coupler{i}.w"]
+    return unified, matmul(unified, w) + p[f"coupler{i}.b"]
+
+
+def _couple_shared_separate(state: PromptState, i: int, rng, train: bool):
+    p = state.params
+    out = []
+    for branch in ("l", "v"):
+        pre = f"coupler{i}.to_{branch}"
+        h = matmul(p[f"unified{i}"], p[f"{pre}.w"]) + p[f"{pre}.b"]
+        if state.coupler.use_layernorm:
+            h = layer_norm(h, p[f"{pre}.ln.g"], p[f"{pre}.ln.b"])
+        out.append(h)
+    return out[0], out[1]
+
+
+def _couple_shared_attention(state: PromptState, i: int, rng, train: bool):
+    p, c = state.params, state.coupler
+    h = transformer_block(
+        p, f"coupler{i}.block", p[f"unified{i}"], c.attn_heads,
+        layernorm_first=c.layernorm_first,
+        attn_dropout=c.attn_dropout if train else 0.0,
+        rng=rng,
+    )
+    textual = matmul(h, p[f"coupler{i}.head_l.w"]) + p[f"coupler{i}.head_l.b"]
+    visual = matmul(h, p[f"coupler{i}.head_v.w"]) + p[f"coupler{i}.head_v.b"]
+    return textual, visual
+
+
+# -- the strategy table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """What one learner is: which encoders it prompts, and how."""
+
+    textual: bool                      # injects prompts into the text encoder
+    visual: bool                       # injects prompts into the image encoder
+    init: Callable                     # _Init -> (name, array) pairs
+    pair: Callable                     # (state, layer, rng, train) -> (textual, visual)
+    image_conditioned: bool = False    # textual prompts pass through cocoop_condition
+    text_space_init: bool = False      # depth-0 prompts in text space: photo-of-a allowed
+    depth: int | None = None           # fixed prompt depth (coop: depth-1 deep-textual)
+
+
+STRATEGIES = {
+    "deep-textual": Strategy(True, False, _init_textual, _pair_textual,
+                             text_space_init=True),
+    "coop": Strategy(True, False, _init_textual, _pair_textual,
+                     text_space_init=True, depth=1),
+    "cocoop": Strategy(True, False, _init_cocoop, _pair_textual,
+                       image_conditioned=True, text_space_init=True),
+    "vpt": Strategy(False, True, _init_vpt, _pair_visual),
+    "maple": Strategy(True, True, _init_maple, _couple_maple, text_space_init=True),
+    "shared-attention": Strategy(True, True, _init_shared_attention,
+                                 _couple_shared_attention),
+    "shared-separate": Strategy(True, True, _init_shared_separate,
+                                _couple_shared_separate),
+}
+KINDS = tuple(STRATEGIES)
+
+
+def init_prompts(
+    kind: str,
+    B: int,
+    J: int,
+    backbone: Backbone,
+    coupler: CouplerConfig | None = None,
+    init_mode: str = "gaussian",
+    seed: int = 0,
+) -> PromptState:
+    if kind not in STRATEGIES:
+        raise ConfigError(f"unknown strategy kind {kind!r}")
+    spec = STRATEGIES[kind]
+    if B < 1:
+        raise ConfigError("prompt length B must be at least 1")
+    cfg = backbone.cfg
+    bound = min(layers for layers, used in ((cfg.text_layers, spec.textual),
+                                            (cfg.vision_layers, spec.visual)) if used)
+    if not 1 <= J <= bound:
+        raise ConfigError(f"prompt depth {J} outside [1, {bound}] for {kind}")
+    if spec.depth is not None and J != spec.depth:
+        raise ConfigError(f"{kind} has prompt depth {spec.depth}, got {J}")
+    if init_mode not in ("gaussian", "photo-of-a"):
+        raise ConfigError(f"unknown init mode {init_mode!r}")
+    if init_mode == "photo-of-a" and not spec.text_space_init:
+        raise ConfigError(
+            f"photo-of-a init needs depth-1 prompts in text space, not valid for {kind}"
+        )
+
+    coupler = coupler or CouplerConfig()
+    ini = _Init(B, J, backbone, coupler, init_mode, seed)
+    params = {name: Tensor(data, requires_grad=True) for name, data in spec.init(ini)}
+    return PromptState(
+        kind=kind, B=B, J=J, params=params, coupler=coupler,
+        dims={"H_l": ini.H_l, "H_v": ini.H_v, "H_vl": ini.H_vl, "H_u": coupler.unified_dim},
+    )
 
 
 def couple(state: PromptState, layer_index: int, rng=None,
            train: bool = False) -> tuple[Tensor, Tensor]:
     """Map the layer's unified prompts to (textual, visual) prompt pairs."""
-    if state.kind not in MULTIMODAL_KINDS:
+    spec = state.strategy
+    if not (spec.textual and spec.visual):
         raise ConfigError(f"couple() is only defined for multimodal kinds, got {state.kind}")
-    p = state.params
-    unified = p[f"unified{layer_index}"]
-    c = state.coupler
-    if state.kind == "maple":
-        if c.use_lora:
-            w = matmul(p[f"coupler{layer_index}.lora_a"],
-                       p[f"coupler{layer_index}.lora_b"].transpose(1, 0))
-        else:
-            w = p[f"coupler{layer_index}.w"]
-        visual = matmul(unified, w) + p[f"coupler{layer_index}.b"]
-        return unified, visual
-    if state.kind == "shared-separate":
-        out = []
-        for branch in ("l", "v"):
-            pre = f"coupler{layer_index}.to_{branch}"
-            h = matmul(unified, p[f"{pre}.w"]) + p[f"{pre}.b"]
-            if c.use_layernorm:
-                h = layer_norm(h, p[f"{pre}.ln.g"], p[f"{pre}.ln.b"])
-            out.append(h)
-        return out[0], out[1]
-    # shared-attention
-    h = transformer_block(
-        p, f"coupler{layer_index}.block", unified, c.attn_heads,
-        layernorm_first=c.layernorm_first,
-        attn_dropout=c.attn_dropout if train else 0.0,
-        rng=rng,
-    )
-    textual = matmul(h, p[f"coupler{layer_index}.head_l.w"]) + p[
-        f"coupler{layer_index}.head_l.b"
-    ]
-    visual = matmul(h, p[f"coupler{layer_index}.head_v.w"]) + p[
-        f"coupler{layer_index}.head_v.b"
-    ]
-    return textual, visual
+    return spec.pair(state, layer_index, rng, train)
 
 
 def cocoop_condition(state: PromptState, z_image: Tensor) -> list[Tensor]:
     """Shift every textual prompt by the meta-net's image-conditioned bias."""
-    if state.kind != "cocoop":
+    if not state.strategy.image_conditioned:
         raise ConfigError(f"cocoop_condition requires a cocoop state, got {state.kind}")
     p = state.params
     H_vl = state.dims["H_vl"]
@@ -281,15 +319,15 @@ def cocoop_condition(state: PromptState, z_image: Tensor) -> list[Tensor]:
 
 def build_prompts(state: PromptState | None, rng=None,
                   train: bool = False):
-    """Per-layer (textual, visual) prompt lists for the encoders."""
+    """Per-layer (textual, visual) prompt lists for the encoders; ``None`` for
+    an encoder the strategy leaves alone."""
     if state is None:
         return None, None
-    if state.kind in TEXTUAL_KINDS:
-        return [state.params[f"textual{i}"] for i in range(state.J)], None
-    if state.kind == "vpt":
-        return None, [state.params[f"visual{i}"] for i in range(state.J)]
-    pairs = [couple(state, i, rng=rng, train=train) for i in range(state.J)]
-    return [t for t, _ in pairs], [v for _, v in pairs]
+    spec = state.strategy
+    pairs = [spec.pair(state, i, rng, train) for i in range(state.J)]
+    textual = [t for t, _ in pairs] if spec.textual else None
+    visual = [v for _, v in pairs] if spec.visual else None
+    return textual, visual
 
 
 def trainable_parameters(state: PromptState, backbone: Backbone) -> list[tuple[str, Tensor]]:

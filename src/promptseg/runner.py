@@ -6,9 +6,9 @@ import copy
 import json
 from pathlib import Path
 
-from .backbone import Backbone, BackboneConfig
+from .backbone import Backbone, BackboneConfig, TokenizationError, tokenize
 from .dataio import SyntheticTaskSpec, generate_dataset, load_dataset
-from .prompts import KINDS, CouplerConfig, init_prompts
+from .prompts import KINDS, STRATEGIES, CouplerConfig, init_prompts
 from .sweep import default_search_space
 from .tensor import ConfigError
 from .training import LossConfig, TrainRunConfig, evaluate, train
@@ -174,9 +174,7 @@ def build_state(cfg: dict, backbone: Backbone, trial: dict | None = None,
                 seed: int | None = None):
     strategy = cfg["strategy"]
     trial = trial or {}
-    depth = int(trial.get("prompt_depth", cfg["prompt_depth"]))
-    if strategy == "coop":
-        depth = 1
+    depth = STRATEGIES[strategy].depth or int(trial.get("prompt_depth", cfg["prompt_depth"]))
     return init_prompts(
         strategy,
         B=cfg["prompt_length"],
@@ -206,18 +204,30 @@ def build_run_cfg(cfg: dict, trial: dict | None = None,
     )
 
 
-def get_dataset(cfg: dict) -> dict:
+def synthetic_dataset(cfg: dict) -> dict:
+    """The synthetic task the ``data`` section describes."""
     d = cfg["data"]
-    if d["path"]:
-        return load_dataset(d["path"])
-    spec = SyntheticTaskSpec(
+    return generate_dataset(SyntheticTaskSpec(
         n_classes=d["n_classes"],
         image_size=d["image_size"],
         samples_per_split={"train": d["train"], "val": d["val"], "test": d["test"]},
         seed=d["seed"],
         align=d["align"],
-    )
-    return generate_dataset(spec)
+    ))
+
+
+def get_dataset(cfg: dict) -> dict:
+    """The saved fixture at ``data.path``, else the synthetic task.  Every
+    phrase must fit the text encoder, so a run cannot die mid-training."""
+    path = cfg["data"]["path"]
+    dataset = load_dataset(path) if path else synthetic_dataset(cfg)
+    max_len = cfg["backbone"]["max_text_len"]
+    for phrase in sorted({s.phrase for samples in dataset.values() for s in samples}):
+        try:
+            tokenize(phrase, max_len)
+        except TokenizationError as exc:
+            raise ConfigError(f"phrase {phrase!r}: {exc} (backbone.max_text_len)") from exc
+    return dataset
 
 
 def run_training(cfg: dict, out_dir=None, dataset=None, trial: dict | None = None,

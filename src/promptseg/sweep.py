@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import ConfigError
+from .training import FreezeViolationError
 
 GAMMA = 0.25
 N_STARTUP = 10
@@ -226,7 +227,8 @@ class StudyState:
     @property
     def best(self) -> TrialRecord | None:
         complete = [t for t in self.records
-                    if t.status == "complete" and t.val_dice is not None]
+                    if t.status == "complete" and t.val_dice is not None
+                    and np.isfinite(t.val_dice)]
         return max(complete, key=lambda t: t.val_dice, default=None)
 
 
@@ -266,7 +268,8 @@ def trial_seed(study_seed: int, trial_id: int) -> int:
 def run_study(strategy: str, space: SearchSpace, n_trials: int, objective,
               seed: int = 0, out_path=None, resume: bool = True) -> StudyState:
     """Execute trials sequentially; ``objective(config, seed)`` returns
-    (val_dice, test_dice).  Failures are recorded and the study continues.
+    (val_dice, test_dice).  Failures are recorded and the study continues;
+    a frozen-backbone violation is not a trial failure and ends the study.
     The study file is rewritten after every trial so a crash loses at most
     the in-flight trial."""
     if out_path is not None and resume and Path(out_path).exists():
@@ -287,6 +290,8 @@ def run_study(strategy: str, space: SearchSpace, n_trials: int, objective,
             val_dice, test_dice = objective(cfg, tseed)
             rec = TrialRecord(trial_id, cfg, float(val_dice), float(test_dice),
                               "complete", tseed, time.monotonic() - t0)
+        except FreezeViolationError:
+            raise
         except Exception as exc:  # trial failure must not kill the study
             rec = TrialRecord(trial_id, cfg, None, None, "failed", tseed,
                               time.monotonic() - t0)

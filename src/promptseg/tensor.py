@@ -445,49 +445,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
     return out
 
 
-def _bilinear_axis(n_in: int, factor: int):
-    n_out = n_in * factor
-    src = (np.arange(n_out) + 0.5) / factor - 0.5
-    i0 = np.floor(src).astype(int)
-    frac = src - i0
-    i0c = np.clip(i0, 0, n_in - 1)
-    i1c = np.clip(i0 + 1, 0, n_in - 1)
-    return i0c, i1c, frac
-
-
-def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
-    """Upscale ``x[c,h,w]`` by an integer factor (align-corners=false)."""
-    x = as_tensor(x)
-    if not isinstance(factor, int) or factor < 1:
-        raise ConfigError(f"upsample factor must be a positive integer, got {factor}")
-    c, h, w = x.shape
-    r0, r1, rf = _bilinear_axis(h, factor)
-    c0, c1, cf = _bilinear_axis(w, factor)
-    rf = rf[:, None]
-    cf = cf[None, :]
-    d = x.data
-    val = (
-        d[:, r0][:, :, c0] * (1 - rf) * (1 - cf)
-        + d[:, r0][:, :, c1] * (1 - rf) * cf
-        + d[:, r1][:, :, c0] * rf * (1 - cf)
-        + d[:, r1][:, :, c1] * rf * cf
-    )
-    out = Tensor(val, x.requires_grad, (x,))
-
-    def _bw(g):
-        gx = np.zeros_like(d)
-        rows = [(r0, 1 - rf), (r1, rf)]
-        colsw = [(c0, 1 - cf), (c1, cf)]
-        for ri, rw in rows:
-            for ci, cw in colsw:
-                contrib = g * rw * cw
-                np.add.at(gx, (slice(None), ri[:, None], ci[None, :]), contrib)
-        x._accumulate(gx)
-
-    out._backward = _bw
-    return out
-
-
 # -- fused losses ------------------------------------------------------------
 
 

@@ -218,7 +218,9 @@ def train(model: Backbone, state: PromptState, dataset: dict,
         metrics=metrics,
         checkpoint_arrays=arrays,
         final_train_dice=evaluate(model, state, train_samples, run_cfg.threshold),
-        final_val_dice=evaluate(model, state, val_samples, run_cfg.threshold),
+        # the last step always evaluates val, and nothing has changed since
+        final_val_dice=(metrics[-1]["dice"] if metrics
+                        else evaluate(model, state, val_samples, run_cfg.threshold)),
     )
     if out_dir is not None:
         out = Path(out_dir)

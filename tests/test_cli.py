@@ -86,6 +86,37 @@ class TestExitCodes:
         rc = cli.main(["train", *SMALL, "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_sweep_freeze_violation_exit_code(self, tmp_path, monkeypatch):
+        original = training.train
+
+        def sabotaged(model, state, dataset, run_cfg, out_dir=None, on_step=None):
+            def corrupt(step, m, s):
+                m.params["text.proj"].data = m.params["text.proj"].data + 1e-9
+            return original(model, state, dataset, run_cfg, out_dir=out_dir,
+                            on_step=corrupt)
+
+        monkeypatch.setattr(runner, "train", sabotaged)
+        rc = cli.main(["sweep", *SMALL, "--set", "sweep.n_trials=2",
+                       "--set", "sweep.steps=2", "--out", str(tmp_path / "o")])
+        assert rc == 3
+
+    def test_phrase_longer_than_encoder_rejected_before_training(self, tmp_path,
+                                                                 capsys, monkeypatch):
+        def no_training(*a, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(runner, "train", no_training)
+        eight = ["--set", "data.n_classes=8"]
+        rc = cli.main(["train", *SMALL, *eight, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "orange triangle" in capsys.readouterr().err
+        fixture = tmp_path / "fixture"
+        assert cli.main(["gen-data", *SMALL, *eight, "--out", str(fixture)]) == 0
+        rc = cli.main(["train", *SMALL, "--set", f'data.path="{fixture / "dataset"}"',
+                       "--out", str(tmp_path / "o2")])
+        assert rc == 1
+        assert "orange triangle" in capsys.readouterr().err
+
     def test_runtime_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*a, **kw):
             raise RuntimeError("disk on fire")

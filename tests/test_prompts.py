@@ -46,6 +46,14 @@ class TestInit:
         with pytest.raises(ConfigError):
             init_prompts("maple", B=4, J=5, backbone=model)
 
+    def test_depth_bound_follows_the_prompted_encoders(self):
+        shallow_text = Backbone(BackboneConfig(image_size=32, text_layers=2), seed=0)
+        init_prompts("vpt", B=2, J=3, backbone=shallow_text)
+        for kind in ("deep-textual", "cocoop", "maple", "shared-attention",
+                     "shared-separate"):
+            with pytest.raises(ConfigError):
+                init_prompts(kind, B=2, J=3, backbone=shallow_text)
+
     def test_coop_is_depth_one(self, model):
         with pytest.raises(ConfigError):
             init_prompts("coop", B=4, J=2, backbone=model)

@@ -202,6 +202,13 @@ class TestStudyPersistence:
         failed = next(r for r in study.records if r.status == "failed")
         assert "boom" in failed.config["_error"]
 
+    def test_best_skips_non_finite_val_dice(self):
+        study = StudyState("coop", 0, default_search_space(), records=[
+            TrialRecord(0, {}, float("nan"), 0.9, "complete", 0),
+            TrialRecord(1, {}, 0.4, 0.3, "complete", 0),
+        ])
+        assert study.best is study.records[1]
+
     def test_trial_seeds_deterministic_and_distinct(self):
         seeds = [trial_seed(5, i) for i in range(10)]
         assert seeds == [trial_seed(5, i) for i in range(10)]

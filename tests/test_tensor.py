@@ -9,7 +9,6 @@ from promptseg.tensor import (
     ShapeError,
     Tensor,
     bce_with_logits,
-    bilinear_upsample,
     concat,
     conv2d,
     layer_norm,
@@ -168,41 +167,6 @@ class TestConv2d:
         params = [x, k, b]
         for t, fd in zip(params, finite_difference(lambda: run().item(), params)):
             assert max_rel_error(fd, t.grad) < 1e-5
-
-
-class TestBilinearUpsample:
-    def test_factor_one_is_identity(self):
-        rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(2, 3, 3)))
-        assert np.array_equal(bilinear_upsample(x, 1).data, x.data)
-
-    def test_constant_preserved(self):
-        x = Tensor(np.full((1, 3, 3), 2.5))
-        out = bilinear_upsample(x, 2)
-        assert out.shape == (1, 6, 6)
-        assert np.allclose(out.data, 2.5)
-
-    def test_hand_evaluated_weights(self):
-        x = Tensor(np.array([[[0.0, 1.0], [0.0, 1.0]]]))
-        out = bilinear_upsample(x, 2)
-        for row in out.data[0]:
-            assert np.allclose(row, [0.0, 0.25, 0.75, 1.0])
-
-    def test_zero_factor_rejected(self):
-        with pytest.raises(ConfigError):
-            bilinear_upsample(Tensor(np.zeros((1, 2, 2))), 0)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(1, 3, 3)), requires_grad=True)
-        weights = rng.normal(size=(1, 6, 6))
-
-        def run():
-            return reduce_sum(bilinear_upsample(x, 2) * weights)
-
-        run().backward()
-        (fd,) = finite_difference(lambda: run().item(), [x])
-        assert max_rel_error(fd, x.grad) < 1e-6
 
 
 class TestBackward:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from promptseg import training
 from promptseg.backbone import Backbone, BackboneConfig
 from promptseg.dataio import SyntheticTaskSpec, generate_dataset
 from promptseg.prompts import init_prompts
@@ -251,6 +252,21 @@ class TestTrainLoop:
         assert art.metrics[-1]["dice"] is not None
         assert (tmp_path / "prompts.ckpt").exists()
         assert (tmp_path / "metrics.jsonl").exists()
+
+    def test_val_evaluated_once_at_the_last_step(self, tiny_run, monkeypatch):
+        model, ds = tiny_run
+        state = init_prompts("coop", B=2, J=1, backbone=model, seed=4)
+        calls = []
+
+        def counting(model, state, samples, threshold=0.5):
+            calls.append(len(samples))
+            return evaluate(model, state, samples, threshold)
+
+        monkeypatch.setattr(training, "evaluate", counting)
+        art = train(model, state, ds, self._cfg(5))
+        # one val pass for the step-5 record, one train pass for final_train_dice
+        assert calls == [len(ds["val"]), len(ds["train"])]
+        assert art.final_val_dice == art.metrics[-1]["dice"]
 
     def test_loss_decreases_smoke(self, tiny_run):
         model, ds = tiny_run
