@@ -251,10 +251,6 @@ class Backbone:
         trainable = {n for n, _ in self.upsampler_parameters()}
         return [n for n in self.params if n not in trainable]
 
-    def state_arrays(self, names=None) -> dict[str, np.ndarray]:
-        names = list(self.params) if names is None else names
-        return {n: self.params[n].data for n in names}
-
     def frozen_checksum(self) -> str:
         h = hashlib.sha256()
         for name in sorted(self.frozen_param_names()):
@@ -263,7 +259,7 @@ class Backbone:
         return h.hexdigest()
 
     def save(self, path) -> None:
-        checkpoint.save_arrays(path, self.state_arrays())
+        checkpoint.save_arrays(path, {n: t.data for n, t in self.params.items()})
 
     def load(self, path) -> None:
         arrays = checkpoint.load_arrays(path)
@@ -348,11 +344,8 @@ class Backbone:
 
     # -- decoder -------------------------------------------------------------
 
-    def decode(self, patch_tokens: Tensor, z_text: Tensor,
-               use_upsampler: bool | None = None) -> Tensor:
+    def decode(self, patch_tokens: Tensor, z_text: Tensor) -> Tensor:
         cfg = self.cfg
-        if use_upsampler is None:
-            use_upsampler = cfg.use_upsampler
         if patch_tokens.shape != (cfg.n_patches, cfg.vision_width):
             raise ShapeError(
                 f"expected {cfg.n_patches} patch tokens of width {cfg.vision_width}, "
@@ -370,7 +363,7 @@ class Backbone:
         ]
         g, ps, S = cfg.grid, cfg.patch_size, cfg.image_size
         body = tiles.reshape(g, g, ps, ps).transpose(0, 2, 1, 3).reshape(S, S)
-        if not use_upsampler:
+        if not cfg.use_upsampler:
             return body
         res = conv2d(
             body.reshape(1, S, S),
@@ -387,7 +380,7 @@ class Backbone:
         """Full text-conditioned segmentation pass; ``state`` carries prompts."""
         from . import prompts
 
-        textual, visual = prompts.build_prompts(state, rng=rng, train=rng is not None)
+        textual, visual = prompts.build_prompts(state, rng=rng)
         img_enc = self.encode_image(image, visual_prompts=visual)
         if state is not None and state.strategy.image_conditioned:
             textual = prompts.cocoop_condition(state, img_enc.z)

@@ -35,17 +35,23 @@ def save_arrays(path, named: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; a file without the magic, or cut short, raises
+    ``ValueError`` naming it."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path} is not a promptseg checkpoint")
-    (hlen,) = struct.unpack("<Q", raw[4:12])
-    header = json.loads(raw[12 : 12 + hlen])
-    base = 12 + hlen
+    # base >= 12, so a file cut inside the length field fails the check too
+    base = 12 + int.from_bytes(raw[4:12], "little")
+    if len(raw) < base:
+        raise ValueError(f"{path}: checkpoint header is cut short")
+    header = json.loads(raw[12:base])
     out: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = int(np.prod(shape))
         start = base + entry["offset"]
+        if start + 8 * count > len(raw):
+            raise ValueError(f"{path}: checkpoint payload is shorter than its header says")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
         out[entry["name"]] = arr.reshape(shape).copy()
     return out

@@ -64,9 +64,6 @@ class SyntheticTaskSpec:
                 f"n_classes must be in [2, {len(PALETTE)}], got {self.n_classes}"
             )
 
-    def class_names(self) -> list[str]:
-        return [PALETTE[i][0] for i in range(self.n_classes)]
-
 
 def _snap(value: int, align: int) -> int:
     return max(align, (int(value) // align) * align)
@@ -174,6 +171,21 @@ def resize_bicubic(image: np.ndarray, target: int) -> np.ndarray:
     return out[0] if squeeze else out
 
 
+def resize_sample(sample: SegmentationSample, size: int) -> SegmentationSample:
+    """The sample at ``size`` x ``size``, or as is if already there: bicubic
+    image clipped to [0, 1], nearest-neighbour mask (align-corners=false)."""
+    _, h, w = sample.image.shape
+    if (h, w) == (size, size):
+        return sample
+    centers = 2 * np.arange(size) + 1
+    rows, cols = centers * h // (2 * size), centers * w // (2 * size)
+    return SegmentationSample(
+        image=np.clip(resize_bicubic(sample.image, size), 0.0, 1.0),
+        phrase=sample.phrase, mask=sample.mask[np.ix_(rows, cols)],
+        class_id=sample.class_id,
+    )
+
+
 # -- augmentation ------------------------------------------------------------
 
 
@@ -232,21 +244,6 @@ def augment(sample: SegmentationSample, rng) -> SegmentationSample:
     brightness = rng.uniform(-0.10, 0.10)
     contrast = 1.0 + rng.uniform(-0.10, 0.10)
     return apply_affine(sample, scale, tx, ty, rot, brightness, contrast)
-
-
-# -- normalization -----------------------------------------------------------
-
-
-def normalize(image: np.ndarray, mean, std) -> np.ndarray:
-    mean = np.asarray(mean, dtype=np.float64).reshape(3, 1, 1)
-    std = np.asarray(std, dtype=np.float64).reshape(3, 1, 1)
-    return (image - mean) / std
-
-
-def denormalize(image: np.ndarray, mean, std) -> np.ndarray:
-    mean = np.asarray(mean, dtype=np.float64).reshape(3, 1, 1)
-    std = np.asarray(std, dtype=np.float64).reshape(3, 1, 1)
-    return image * std + mean
 
 
 # -- fixture persistence -----------------------------------------------------

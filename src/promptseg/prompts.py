@@ -12,7 +12,7 @@ Everything that differs between the learners is one entry of ``STRATEGIES``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,14 +43,10 @@ class PromptState:
     J: int
     params: dict[str, Tensor]
     coupler: CouplerConfig | None = None
-    dims: dict[str, int] = field(default_factory=dict)
 
     @property
     def strategy(self) -> Strategy:
         return STRATEGIES[self.kind]
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
 
 
 # -- injection ---------------------------------------------------------------
@@ -184,15 +180,15 @@ def _init_shared_attention(ini: _Init):
 # -- one layer's (textual, visual) prompts -----------------------------------
 
 
-def _pair_textual(state: PromptState, i: int, rng, train: bool):
+def _pair_textual(state: PromptState, i: int, rng):
     return state.params[f"textual{i}"], None
 
 
-def _pair_visual(state: PromptState, i: int, rng, train: bool):
+def _pair_visual(state: PromptState, i: int, rng):
     return None, state.params[f"visual{i}"]
 
 
-def _couple_maple(state: PromptState, i: int, rng, train: bool):
+def _couple_maple(state: PromptState, i: int, rng):
     p = state.params
     unified = p[f"unified{i}"]
     if state.coupler.use_lora:
@@ -202,7 +198,7 @@ def _couple_maple(state: PromptState, i: int, rng, train: bool):
     return unified, matmul(unified, w) + p[f"coupler{i}.b"]
 
 
-def _couple_shared_separate(state: PromptState, i: int, rng, train: bool):
+def _couple_shared_separate(state: PromptState, i: int, rng):
     p = state.params
     out = []
     for branch in ("l", "v"):
@@ -214,12 +210,12 @@ def _couple_shared_separate(state: PromptState, i: int, rng, train: bool):
     return out[0], out[1]
 
 
-def _couple_shared_attention(state: PromptState, i: int, rng, train: bool):
+def _couple_shared_attention(state: PromptState, i: int, rng):
     p, c = state.params, state.coupler
     h = transformer_block(
         p, f"coupler{i}.block", p[f"unified{i}"], c.attn_heads,
         layernorm_first=c.layernorm_first,
-        attn_dropout=c.attn_dropout if train else 0.0,
+        attn_dropout=c.attn_dropout,
         rng=rng,
     )
     textual = matmul(h, p[f"coupler{i}.head_l.w"]) + p[f"coupler{i}.head_l.b"]
@@ -237,7 +233,7 @@ class Strategy:
     textual: bool                      # injects prompts into the text encoder
     visual: bool                       # injects prompts into the image encoder
     init: Callable                     # _Init -> (name, array) pairs
-    pair: Callable                     # (state, layer, rng, train) -> (textual, visual)
+    pair: Callable                     # (state, layer, rng) -> (textual, visual)
     image_conditioned: bool = False    # textual prompts pass through cocoop_condition
     text_space_init: bool = False      # depth-0 prompts in text space: photo-of-a allowed
     depth: int | None = None           # fixed prompt depth (coop: depth-1 deep-textual)
@@ -291,19 +287,7 @@ def init_prompts(
     coupler = coupler or CouplerConfig()
     ini = _Init(B, J, backbone, coupler, init_mode, seed)
     params = {name: Tensor(data, requires_grad=True) for name, data in spec.init(ini)}
-    return PromptState(
-        kind=kind, B=B, J=J, params=params, coupler=coupler,
-        dims={"H_l": ini.H_l, "H_v": ini.H_v, "H_vl": ini.H_vl, "H_u": coupler.unified_dim},
-    )
-
-
-def couple(state: PromptState, layer_index: int, rng=None,
-           train: bool = False) -> tuple[Tensor, Tensor]:
-    """Map the layer's unified prompts to (textual, visual) prompt pairs."""
-    spec = state.strategy
-    if not (spec.textual and spec.visual):
-        raise ConfigError(f"couple() is only defined for multimodal kinds, got {state.kind}")
-    return spec.pair(state, layer_index, rng, train)
+    return PromptState(kind=kind, B=B, J=J, params=params, coupler=coupler)
 
 
 def cocoop_condition(state: PromptState, z_image: Tensor) -> list[Tensor]:
@@ -311,20 +295,19 @@ def cocoop_condition(state: PromptState, z_image: Tensor) -> list[Tensor]:
     if not state.strategy.image_conditioned:
         raise ConfigError(f"cocoop_condition requires a cocoop state, got {state.kind}")
     p = state.params
-    H_vl = state.dims["H_vl"]
-    h = relu(matmul(z_image.reshape(1, H_vl), p["meta.w1"]) + p["meta.b1"])
-    pi = (matmul(h, p["meta.w2"]) + p["meta.b2"]).reshape(state.dims["H_l"])
+    h = relu(matmul(z_image.reshape(1, -1), p["meta.w1"]) + p["meta.b1"])
+    pi = (matmul(h, p["meta.w2"]) + p["meta.b2"]).reshape(-1)
     return [p[f"textual{i}"] + pi for i in range(state.J)]
 
 
-def build_prompts(state: PromptState | None, rng=None,
-                  train: bool = False):
+def build_prompts(state: PromptState | None, rng=None):
     """Per-layer (textual, visual) prompt lists for the encoders; ``None`` for
-    an encoder the strategy leaves alone."""
+    an encoder the strategy leaves alone.  ``rng`` is given only in training,
+    where it drives the coupler's attention dropout."""
     if state is None:
         return None, None
     spec = state.strategy
-    pairs = [spec.pair(state, i, rng, train) for i in range(state.J)]
+    pairs = [spec.pair(state, i, rng) for i in range(state.J)]
     textual = [t for t, _ in pairs] if spec.textual else None
     visual = [v for _, v in pairs] if spec.visual else None
     return textual, visual
@@ -332,6 +315,6 @@ def build_prompts(state: PromptState | None, rng=None,
 
 def trainable_parameters(state: PromptState, backbone: Backbone) -> list[tuple[str, Tensor]]:
     """Everything the optimizer may touch: prompts, couplers, meta-net, upsampler."""
-    named = [(f"prompt.{n}", t) for n, t in state.named_parameters()]
+    named = [(f"prompt.{n}", t) for n, t in state.params.items()]
     named.extend(backbone.upsampler_parameters())
     return named

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 from .backbone import Backbone, BackboneConfig, TokenizationError, tokenize
-from .dataio import SyntheticTaskSpec, generate_dataset, load_dataset
+from .dataio import SyntheticTaskSpec, generate_dataset, load_dataset, resize_sample
 from .prompts import KINDS, STRATEGIES, CouplerConfig, init_prompts
 from .sweep import default_search_space
 from .tensor import ConfigError
@@ -217,10 +217,16 @@ def synthetic_dataset(cfg: dict) -> dict:
 
 
 def get_dataset(cfg: dict) -> dict:
-    """The saved fixture at ``data.path``, else the synthetic task.  Every
-    phrase must fit the text encoder, so a run cannot die mid-training."""
+    """The saved fixture at ``data.path``, resized to the backbone's image
+    size, else the synthetic task.  Every phrase must fit the text encoder,
+    so a run cannot die mid-training."""
     path = cfg["data"]["path"]
-    dataset = load_dataset(path) if path else synthetic_dataset(cfg)
+    if path:
+        size = cfg["backbone"]["image_size"]
+        dataset = {split: [resize_sample(s, size) for s in samples]
+                   for split, samples in load_dataset(path).items()}
+    else:
+        dataset = synthetic_dataset(cfg)
     max_len = cfg["backbone"]["max_text_len"]
     for phrase in sorted({s.phrase for samples in dataset.values() for s in samples}):
         try:

@@ -271,13 +271,18 @@ def run_study(strategy: str, space: SearchSpace, n_trials: int, objective,
     (val_dice, test_dice).  Failures are recorded and the study continues;
     a frozen-backbone violation is not a trial failure and ends the study.
     The study file is rewritten after every trial so a crash loses at most
-    the in-flight trial."""
+    the in-flight trial; it resumes only under the same strategy, seed and
+    search space."""
     if out_path is not None and resume and Path(out_path).exists():
         study = load_study(out_path)
         if study.strategy != strategy:
             raise ConfigError(
                 f"study file holds strategy {study.strategy!r}, asked for {strategy!r}"
             )
+        if study.seed != seed:
+            raise ConfigError(f"study file holds seed {study.seed}, asked for {seed}")
+        if json.dumps(study.space.to_json()) != json.dumps(space.to_json()):
+            raise ConfigError(f"study file {out_path} holds a different search space")
     else:
         study = StudyState(strategy=strategy, seed=seed, space=space)
 

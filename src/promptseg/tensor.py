@@ -43,18 +43,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -98,26 +88,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
 
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -135,19 +110,9 @@ class Tensor:
             axes = tuple(axes[0])
         return transpose(self, axes if axes else None)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def parameter(data, requires_grad: bool = True) -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=requires_grad)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -211,34 +176,11 @@ def power(a: Tensor, p: float) -> Tensor:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    val = np.exp(a.data)
-    out = Tensor(val, a.requires_grad, (a,))
-    out._backward = lambda g: a._accumulate(g * val)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.log(a.data), a.requires_grad, (a,))
-    out._backward = lambda g: a._accumulate(g / a.data)
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
     out = Tensor(np.where(mask, a.data, 0.0), a.requires_grad, (a,))
     out._backward = lambda g: a._accumulate(g * mask)
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    val = np.tanh(a.data)
-    out = Tensor(val, a.requires_grad, (a,))
-    out._backward = lambda g: a._accumulate(g * (1.0 - val * val))
     return out
 
 
@@ -317,15 +259,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     out._backward = _bw
     return out
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        n = a.size
-    else:
-        n = a.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # -- linear algebra ----------------------------------------------------------

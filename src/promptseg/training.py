@@ -15,8 +15,16 @@ from .prompts import PromptState, trainable_parameters
 from .tensor import ShapeError, Tensor, bce_with_logits, power, reduce_sum, sigmoid, zero_grads
 
 
+# probability above which a pixel counts as foreground when scoring dice
+THRESHOLD = 0.5
+
+
 class FreezeViolationError(RuntimeError):
     """A frozen backbone parameter changed during training."""
+
+
+class NonFiniteLossError(RuntimeError):
+    """A training step's loss was NaN or infinite."""
 
 
 @dataclass
@@ -35,13 +43,8 @@ class TrainRunConfig:
     weight_decay: float = 1e-4
     seed: int = 0
     eval_every: int = 50
-    threshold: float = 0.5
     augment: bool = False
     loss: LossConfig = field(default_factory=LossConfig)
-
-    @property
-    def effective_batch(self) -> int:
-        return self.micro_batch * self.grad_accum
 
 
 @dataclass
@@ -130,16 +133,15 @@ class AdamW:
         zero_grads(t for _, t in self.named_params)
 
 
-def evaluate(model: Backbone, state: PromptState | None, samples,
-             threshold: float = 0.5) -> float:
-    """Mean dice over samples at the given probability threshold."""
+def evaluate(model: Backbone, state: PromptState | None, samples) -> float:
+    """Mean dice over samples at the ``THRESHOLD`` probability."""
     if not samples:
         return float("nan")
     scores = []
     for s in samples:
         logits = model.forward(s.image, tokenize(s.phrase, model.cfg.max_text_len), state)
         prob = 1.0 / (1.0 + np.exp(-logits.data))
-        scores.append(dice_score(prob > threshold, s.mask))
+        scores.append(dice_score(prob > THRESHOLD, s.mask))
     return float(np.mean(scores))
 
 
@@ -193,10 +195,12 @@ def train(model: Backbone, state: PromptState, dataset: dict,
             micro = micro * (1.0 / (len(losses) * run_cfg.grad_accum))
             micro.backward()
             step_loss += micro.item()
+        if not np.isfinite(step_loss):
+            raise NonFiniteLossError(f"non-finite loss {step_loss} at step {step}")
         opt.step()
         record = None
         if step % run_cfg.eval_every == 0 or step == run_cfg.steps:
-            val_dice = evaluate(model, state, val_samples, run_cfg.threshold)
+            val_dice = evaluate(model, state, val_samples)
             record = {"step": step, "loss": step_loss, "dice": val_dice,
                       "lr": run_cfg.learning_rate}
             metrics.append(record)
@@ -217,10 +221,10 @@ def train(model: Backbone, state: PromptState, dataset: dict,
     artifacts = TrainedArtifacts(
         metrics=metrics,
         checkpoint_arrays=arrays,
-        final_train_dice=evaluate(model, state, train_samples, run_cfg.threshold),
+        final_train_dice=evaluate(model, state, train_samples),
         # the last step always evaluates val, and nothing has changed since
         final_val_dice=(metrics[-1]["dice"] if metrics
-                        else evaluate(model, state, val_samples, run_cfg.threshold)),
+                        else evaluate(model, state, val_samples)),
     )
     if out_dir is not None:
         out = Path(out_dir)

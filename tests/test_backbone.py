@@ -156,27 +156,30 @@ class TestDecode:
 
     def test_upsampler_off_equals_body(self):
         model = Backbone(small_cfg())
+        # same seed, same weights: only the decoder's upsampler step differs
+        body_only = Backbone(small_cfg(use_upsampler=False))
         rng = np.random.default_rng(4)
         enc = model.encode_image(rng.random((3, 32, 32)))
         txt = model.encode_text(tokenize("cat", 16))
-        with_off = model.decode(enc.patch_tokens, txt.z, use_upsampler=False)
+        with_off = body_only.decode(enc.patch_tokens, txt.z)
         model.params["upsampler.residual_factor"].data = np.asarray(0.0)
-        with_zero = model.decode(enc.patch_tokens, txt.z, use_upsampler=True)
+        with_zero = model.decode(enc.patch_tokens, txt.z)
         assert np.array_equal(with_off.data, with_zero.data)
 
     def test_upsampler_changes_output(self):
         model = Backbone(small_cfg())
+        body_only = Backbone(small_cfg(use_upsampler=False))
         rng = np.random.default_rng(5)
         enc = model.encode_image(rng.random((3, 32, 32)))
         txt = model.encode_text(tokenize("cat", 16))
-        body = model.decode(enc.patch_tokens, txt.z, use_upsampler=False)
-        full = model.decode(enc.patch_tokens, txt.z, use_upsampler=True)
+        body = body_only.decode(enc.patch_tokens, txt.z)
+        full = model.decode(enc.patch_tokens, txt.z)
         assert not np.array_equal(body.data, full.data)
 
     def test_tile_assembly_geometry(self):
         # one logit tile per patch token: zeroing the unembedding and writing a
         # recognizable bias pattern localizes each tile in the output map
-        model = Backbone(small_cfg(decoder_layers=1))
+        model = Backbone(small_cfg(decoder_layers=1, use_upsampler=False))
         ps = model.cfg.patch_size
         model.params["decoder.unembed.w"].data = np.zeros_like(
             model.params["decoder.unembed.w"].data
@@ -185,7 +188,7 @@ class TestDecode:
         model.params["decoder.unembed.b"].data = tile
         enc = model.encode_image(np.random.default_rng(6).random((3, 32, 32)))
         txt = model.encode_text(tokenize("cat", 16))
-        out = model.decode(enc.patch_tokens, txt.z, use_upsampler=False)
+        out = model.decode(enc.patch_tokens, txt.z)
         for gy in range(model.cfg.grid):
             for gx in range(model.cfg.grid):
                 block = out.data[gy * ps:(gy + 1) * ps, gx * ps:(gx + 1) * ps]

@@ -117,6 +117,32 @@ class TestExitCodes:
         assert rc == 1
         assert "orange triangle" in capsys.readouterr().err
 
+    def test_sweep_resume_mismatch_exit_code(self, tmp_path):
+        out = tmp_path / "o"
+        sweep = ["sweep", *SMALL, "--set", "sweep.n_trials=1", "--set", "sweep.steps=1",
+                 "--out", str(out)]
+        assert cli.main(sweep) == 0
+        before = (out / "study.jsonl").read_bytes()
+        assert cli.main([*sweep, "--seed", "5"]) == 1
+        assert cli.main([*sweep, "--set", "sweep.depth_max=2"]) == 1
+        assert (out / "study.jsonl").read_bytes() == before
+
+    def test_non_finite_loss_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(training, "combined_loss",
+                            lambda logits, mask, cfg: logits[0, 0] * float("nan"))
+        rc = cli.main(["train", *SMALL, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "non-finite loss nan at step 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "prompts.ckpt").exists()
+        # in a sweep the trial fails and its record names the step
+        rc = cli.main(["sweep", *SMALL, "--set", "sweep.n_trials=1",
+                       "--set", "sweep.steps=2", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        lines = (tmp_path / "s" / "study.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        assert record["status"] == "failed"
+        assert "at step 1" in record["config"]["_error"]
+
     def test_runtime_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*a, **kw):
             raise RuntimeError("disk on fire")
@@ -155,6 +181,24 @@ class TestGenData:
             "--out", str(tmp_path / "run"),
         ])
         assert rc == 0
+
+    def test_loaded_fixture_of_another_size_is_resized(self, tmp_path):
+        fixture = tmp_path / "fixture"
+        assert cli.main(["gen-data", *SMALL, "--out", str(fixture)]) == 0
+        at_32 = ["--set", "backbone.image_size=32", "--set", "data.image_size=32",
+                 "--set", f'data.path="{fixture / "dataset"}"']
+        rc = cli.main(["train", *SMALL, *at_32, "--set", "train.steps=1",
+                       "--out", str(tmp_path / "run")])
+        assert rc == 0
+        cfg = runner.load_config(overrides=[
+            ("backbone.image_size", "32"), ("data.image_size", "32"),
+            ("data.path", str(fixture / "dataset"))])
+        for samples in runner.get_dataset(cfg).values():
+            for s in samples:
+                assert s.image.shape == (3, 32, 32)
+                assert 0.0 <= s.image.min() and s.image.max() <= 1.0
+                assert s.mask.shape == (32, 32)
+                assert set(np.unique(s.mask)) <= {0, 1}
 
 
 class TestAblations:

@@ -8,10 +8,8 @@ from promptseg.dataio import (
     apply_affine,
     augment,
     cubic_kernel,
-    denormalize,
     generate_dataset,
     load_dataset,
-    normalize,
     resize_bicubic,
     save_dataset,
 )
@@ -185,30 +183,6 @@ class TestAugment:
                            brightness=0.05, contrast=1.1)
         assert np.array_equal(out.mask, s.mask)
         assert not np.allclose(out.image, s.image)
-
-
-class TestNormalize:
-    def test_identity(self):
-        rng = np.random.default_rng(3)
-        img = rng.random((3, 8, 8))
-        out = normalize(img, mean=[0, 0, 0], std=[1, 1, 1])
-        assert np.array_equal(out, img)
-
-    def test_self_statistics_center(self):
-        rng = np.random.default_rng(4)
-        img = rng.random((3, 16, 16))
-        mean = img.mean(axis=(1, 2))
-        std = img.std(axis=(1, 2))
-        out = normalize(img, mean, std)
-        assert np.allclose(out.mean(axis=(1, 2)), 0.0, atol=1e-12)
-        assert np.allclose(out.std(axis=(1, 2)), 1.0, atol=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        img = rng.random((3, 8, 8))
-        mean, std = [0.4, 0.5, 0.6], [0.2, 0.25, 0.3]
-        back = denormalize(normalize(img, mean, std), mean, std)
-        assert np.max(np.abs(back - img)) < 1e-12
 
 
 class TestPersistence:

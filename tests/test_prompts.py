@@ -8,7 +8,6 @@ from promptseg.prompts import (
     CouplerConfig,
     build_prompts,
     cocoop_condition,
-    couple,
     init_prompts,
     inject_textual,
     inject_visual,
@@ -26,7 +25,7 @@ class TestInit:
     def test_deterministic(self, model):
         a = init_prompts("vpt", B=4, J=2, backbone=model, seed=5)
         b = init_prompts("vpt", B=4, J=2, backbone=model, seed=5)
-        for name, t in a.named_parameters():
+        for name, t in a.params.items():
             assert np.array_equal(t.data, b.params[name].data)
 
     def test_sigma(self, model):
@@ -108,7 +107,7 @@ class TestInit:
     def test_all_prompt_tensors_trainable(self, model):
         for kind in KINDS:
             state = init_prompts(kind, B=4, J=1, backbone=model, seed=3)
-            for name, t in state.named_parameters():
+            for name, t in state.params.items():
                 assert t.requires_grad, (kind, name)
 
 
@@ -161,16 +160,11 @@ class TestInjection:
 
 
 class TestCoupling:
-    def test_requires_multimodal_kind(self, model):
-        state = init_prompts("coop", B=4, J=1, backbone=model)
-        with pytest.raises(ConfigError):
-            couple(state, 0)
-
     def test_maple_textual_is_unified_identity(self, model):
         state = init_prompts("maple", B=4, J=2, backbone=model, seed=2)
-        textual, visual = couple(state, 1)
-        assert textual is state.params["unified1"]
-        assert visual.shape == (4, model.cfg.vision_width)
+        textual, visual = build_prompts(state)
+        assert textual[1] is state.params["unified1"]
+        assert visual[1].shape == (4, model.cfg.vision_width)
 
     def test_maple_lora_rank(self, model):
         rank = 2
@@ -197,27 +191,26 @@ class TestCoupling:
         ss.params["coupler0.to_l.b"].data = np.zeros(32)
         ss.params["coupler0.to_v.w"].data = maple.params["coupler0.w"].data.copy()
         ss.params["coupler0.to_v.b"].data = maple.params["coupler0.b"].data.copy()
-        mt, mv = couple(maple, 0)
-        st, sv = couple(ss, 0)
+        (mt,), (mv,) = build_prompts(maple)
+        (st,), (sv,) = build_prompts(ss)
         assert np.max(np.abs(mt.data - st.data)) < 1e-12
         assert np.max(np.abs(mv.data - sv.data)) < 1e-12
 
     def test_shared_attention_shapes(self, model):
         state = init_prompts("shared-attention", B=4, J=2, backbone=model, seed=4)
-        textual, visual = couple(state, 0)
-        assert textual.shape == (4, model.cfg.text_width)
-        assert visual.shape == (4, model.cfg.vision_width)
+        textual, visual = build_prompts(state)
+        assert [t.shape for t in textual] == [(4, model.cfg.text_width)] * 2
+        assert [v.shape for v in visual] == [(4, model.cfg.vision_width)] * 2
 
     def test_shared_attention_dropout_only_in_train_mode(self, model):
         state = init_prompts(
             "shared-attention", B=4, J=1, backbone=model,
             coupler=CouplerConfig(unified_dim=32, attn_dropout=0.5), seed=4,
         )
-        eval_a, _ = couple(state, 0)
-        eval_b, _ = couple(state, 0)
+        (eval_a,), _ = build_prompts(state)
+        (eval_b,), _ = build_prompts(state)
         assert np.array_equal(eval_a.data, eval_b.data)
-        rng = np.random.default_rng(0)
-        train_a, _ = couple(state, 0, rng=rng, train=True)
+        (train_a,), _ = build_prompts(state, rng=np.random.default_rng(0))
         assert not np.array_equal(train_a.data, eval_a.data)
 
 

@@ -184,6 +184,26 @@ class TestStudyPersistence:
             run_study("vpt", default_search_space(), 4, self._toy_objective(),
                       seed=1, out_path=path)
 
+    def test_seed_mismatch_on_resume(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        run_study("coop", default_search_space(), 2, self._toy_objective(),
+                  seed=1, out_path=path)
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match="seed"):
+            run_study("coop", default_search_space(), 4, self._toy_objective(),
+                      seed=2, out_path=path)
+        assert path.read_bytes() == before
+
+    def test_search_space_mismatch_on_resume(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        run_study("coop", default_search_space(3), 2, self._toy_objective(),
+                  seed=1, out_path=path)
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match="search space"):
+            run_study("coop", default_search_space(4), 4, self._toy_objective(),
+                      seed=1, out_path=path)
+        assert path.read_bytes() == before
+
     def test_trial_failure_recorded_and_study_continues(self, tmp_path):
         calls = {"n": 0}
 

@@ -249,13 +249,13 @@ class TestBceFused:
 @given(hst.integers(0, 2**32 - 1), hst.integers(2, 5), hst.integers(2, 5))
 def test_elementwise_chain_gradient_property(seed, rows, cols):
     rng = np.random.default_rng(seed)
-    from promptseg.tensor import sigmoid, tanh
+    from promptseg.tensor import power, sigmoid
 
     x = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
     w = rng.normal(size=(rows, cols))
 
     def run():
-        return reduce_sum(sigmoid(x) * tanh(x) * w + x * 0.5)
+        return reduce_sum(sigmoid(x) * power(x * x + 1.0, -1.0) * w + x * 0.5)
 
     run().backward()
     (fd,) = finite_difference(lambda: run().item(), [x])

@@ -201,7 +201,7 @@ class TestTrainLoop:
     def test_zero_steps_checkpoint_equals_init(self, tiny_run):
         model, ds = tiny_run
         state = init_prompts("vpt", B=2, J=1, backbone=model, seed=1)
-        before = {n: t.data.copy() for n, t in state.named_parameters()}
+        before = {n: t.data.copy() for n, t in state.params.items()}
         art = train(model, state, ds, self._cfg(0))
         for name, arr in before.items():
             assert np.array_equal(art.checkpoint_arrays[f"prompt.{name}"], arr)
@@ -258,15 +258,41 @@ class TestTrainLoop:
         state = init_prompts("coop", B=2, J=1, backbone=model, seed=4)
         calls = []
 
-        def counting(model, state, samples, threshold=0.5):
+        def counting(model, state, samples):
             calls.append(len(samples))
-            return evaluate(model, state, samples, threshold)
+            return evaluate(model, state, samples)
 
         monkeypatch.setattr(training, "evaluate", counting)
         art = train(model, state, ds, self._cfg(5))
         # one val pass for the step-5 record, one train pass for final_train_dice
         assert calls == [len(ds["val"]), len(ds["train"])]
         assert art.final_val_dice == art.metrics[-1]["dice"]
+
+    def test_non_finite_loss_stops_before_the_optimizer_step(self, tiny_run, tmp_path,
+                                                             monkeypatch):
+        model, ds = tiny_run
+        state = init_prompts("vpt", B=2, J=1, backbone=model, seed=1)
+        original = training.combined_loss
+        calls = []
+
+        def nan_at_step_two(logits, mask, cfg):
+            calls.append(1)
+            loss = original(logits, mask, cfg)
+            # micro_batch * grad_accum = 4 losses per step; the 5th is step 2's first
+            return loss * float("nan") if len(calls) == 5 else loss
+
+        after_step_one = {}
+
+        def snapshot(step, m, s):
+            after_step_one.update((n, t.data.copy()) for n, t in s.params.items())
+
+        monkeypatch.setattr(training, "combined_loss", nan_at_step_two)
+        with pytest.raises(training.NonFiniteLossError, match="at step 2"):
+            train(model, state, ds, self._cfg(4), out_dir=tmp_path, on_step=snapshot)
+        assert after_step_one
+        for name, arr in after_step_one.items():
+            assert state.params[name].data.tobytes() == arr.tobytes(), name
+        assert not (tmp_path / "prompts.ckpt").exists()
 
     def test_loss_decreases_smoke(self, tiny_run):
         model, ds = tiny_run
@@ -279,7 +305,3 @@ class TestTrainLoop:
     def test_evaluate_empty_returns_nan(self, tiny_run):
         model, _ = tiny_run
         assert np.isnan(evaluate(model, None, []))
-
-    def test_effective_batch(self):
-        cfg = TrainRunConfig(micro_batch=4, grad_accum=8)
-        assert cfg.effective_batch == 32
