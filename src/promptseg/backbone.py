@@ -4,6 +4,9 @@ A byte-level text transformer and a ViT-style image transformer feed a small
 decoder that emits one logit per pixel.  Every backbone parameter is frozen;
 only injected prompts (see :mod:`promptseg.prompts`) and, optionally, the
 residual upsampler train.
+
+Token sequences are ``[..., s, d]``: the encoders, the decoder and attention
+run the same code on one sample and on a stack of samples along leading axes.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .tensor import (
     ConfigError,
     ShapeError,
     Tensor,
+    broadcast_to,
     concat,
     conv2d,
     layer_norm,
@@ -87,16 +91,16 @@ class BackboneConfig:
 
 @dataclass
 class TextEncoding:
-    z: Tensor                 # [joint_width]
-    final_seq: Tensor         # [B + n, text_width]
+    z: Tensor                 # [..., joint_width]
+    final_seq: Tensor         # [..., B + n, text_width]
     eos_index: int            # index in final_seq holding the sentence embedding
     trace: list[Tensor] = field(default_factory=list)
 
 
 @dataclass
 class ImageEncoding:
-    z: Tensor                 # [joint_width]
-    patch_tokens: Tensor      # [n_patches, vision_width]
+    z: Tensor                 # [..., joint_width]
+    patch_tokens: Tensor      # [..., n_patches, vision_width]
     trace: list[Tensor] = field(default_factory=list)
 
 
@@ -124,6 +128,14 @@ def init_block_params(params: dict, prefix: str, d: int, ff: int, rng) -> None:
     params[f"{prefix}.ff.b2"] = Tensor(np.zeros(d))
 
 
+def join_tokens(parts: list[Tensor]) -> Tensor:
+    """Concatenate ``[..., s_i, d]`` sequences along the sequence axis, each
+    repeated over the leading axes it lacks."""
+    lead = np.broadcast_shapes(*(t.shape[:-2] for t in parts))
+    return concat([t if t.shape[:-2] == lead else broadcast_to(t, (*lead, *t.shape[-2:]))
+                   for t in parts], axis=-2)
+
+
 def multi_head_attention(
     x: Tensor,
     wq: Tensor, bq: Tensor,
@@ -134,23 +146,26 @@ def multi_head_attention(
     dropout: float = 0.0,
     rng=None,
 ) -> Tensor:
-    """Bidirectional scaled dot-product attention over a [s, d] sequence."""
-    s, d = x.shape
+    """Bidirectional scaled dot-product attention over a [..., s, d] sequence."""
+    *lead, s, d = x.shape
     if d % heads != 0:
         raise ConfigError(f"{heads} heads do not divide width {d}")
     dh = d // heads
+    n = len(lead)
+    swap = (*range(n), n + 1, n, n + 2)  # [..., s, heads, dh] <-> [..., heads, s, dh]
 
     def split(t):
-        return t.reshape(s, heads, dh).transpose(1, 0, 2)
+        return t.reshape(*lead, s, heads, dh).transpose(swap)
 
     q = split(matmul(x, wq) + bq)
     k = split(matmul(x, wk) + bk)
     v = split(matmul(x, wv) + bv)
-    att = softmax(matmul(q, k.transpose(0, 2, 1)) * (1.0 / np.sqrt(dh)), axis=-1)
+    att = softmax(matmul(q, k.transpose(*range(n + 1), n + 2, n + 1)) * (1.0 / np.sqrt(dh)),
+                  axis=-1)
     if dropout > 0.0 and rng is not None:
         mask = (rng.random(att.shape) >= dropout) / (1.0 - dropout)
         att = mul(att, mask)
-    out = matmul(att, v).transpose(1, 0, 2).reshape(s, d)
+    out = matmul(att, v).transpose(swap).reshape(*lead, s, d)
     return matmul(out, wo) + bo
 
 
@@ -274,6 +289,7 @@ class Backbone:
 
     def encode_text(self, tokens: np.ndarray, textual_prompts=None,
                     record_trace: bool = False) -> TextEncoding:
+        """One phrase; prompts with leading axes give one encoding per index."""
         from .prompts import inject_textual
 
         cfg = self.cfg
@@ -291,32 +307,35 @@ class Backbone:
         n = len(tokens)
         seq = self.params["text.embed"][tokens] + self.params["text.pos"][:n]
         prompts = textual_prompts or []
-        B = prompts[0].shape[0] if prompts else 0
+        B = prompts[0].shape[-2] if prompts else 0
         trace: list[Tensor] = []
         for i in range(cfg.text_layers):
             seq = inject_textual(i, seq, prompts)
             seq = transformer_block(self.params, f"text.layer{i}", seq, cfg.text_heads)
             if record_trace:
                 trace.append(seq)
-        final_eos = eos + (B if prompts else 0)
-        z = matmul(seq[final_eos : final_eos + 1], self.params["text.proj"]).reshape(
-            cfg.joint_width
+        final_eos = eos + B
+        z = matmul(seq[..., final_eos : final_eos + 1, :], self.params["text.proj"]).reshape(
+            *seq.shape[:-2], cfg.joint_width
         )
         return TextEncoding(z=z, final_seq=seq, eos_index=final_eos, trace=trace)
 
     def patchify(self, image: np.ndarray) -> np.ndarray:
+        """``[3, S, S]`` -> ``[n_patches, 3*ps*ps]``; a stack ``[N, 3, S, S]``
+        -> ``[N, n_patches, 3*ps*ps]``."""
         cfg = self.cfg
         image = np.asarray(image, dtype=np.float64)
-        if image.shape != (3, cfg.image_size, cfg.image_size):
+        if image.ndim not in (3, 4) or image.shape[-3:] != (3, cfg.image_size, cfg.image_size):
             raise ShapeError(
-                f"expected image of shape (3, {cfg.image_size}, {cfg.image_size}), "
-                f"got {image.shape}"
+                f"expected image of shape (3, {cfg.image_size}, {cfg.image_size}) "
+                f"or a stack of them, got {image.shape}"
             )
-        g, ps = cfg.grid, cfg.patch_size
+        g, ps, lead = cfg.grid, cfg.patch_size, image.shape[:-3]
+        n = len(lead)
         return (
-            image.reshape(3, g, ps, g, ps)
-            .transpose(1, 3, 0, 2, 4)
-            .reshape(cfg.n_patches, 3 * ps * ps)
+            image.reshape(*lead, 3, g, ps, g, ps)
+            .transpose(*range(n), n + 1, n + 3, n, n + 2, n + 4)
+            .reshape(*lead, cfg.n_patches, 3 * ps * ps)
         )
 
     def encode_image(self, image: np.ndarray, visual_prompts=None,
@@ -329,7 +348,7 @@ class Backbone:
         c0 = (self.params["vision.cls"] + self.params["vision.pos"][0]).reshape(
             1, cfg.vision_width
         )
-        seq = concat([c0, E], axis=0)
+        seq = join_tokens([c0, E])
         prompts = visual_prompts or []
         body_len = 1 + cfg.n_patches
         trace: list[Tensor] = []
@@ -338,20 +357,24 @@ class Backbone:
             seq = transformer_block(self.params, f"vision.layer{i}", seq, cfg.vision_heads)
             if record_trace:
                 trace.append(seq)
-        z = matmul(seq[0:1], self.params["vision.proj"]).reshape(cfg.joint_width)
-        patch_tokens = seq[1:body_len]
+        z = matmul(seq[..., 0:1, :], self.params["vision.proj"]).reshape(
+            *seq.shape[:-2], cfg.joint_width)
+        patch_tokens = seq[..., 1:body_len, :]
         return ImageEncoding(z=z, patch_tokens=patch_tokens, trace=trace)
 
     # -- decoder -------------------------------------------------------------
 
     def decode(self, patch_tokens: Tensor, z_text: Tensor) -> Tensor:
+        """``[..., n_patches, vision_width]`` tokens and ``[..., joint_width]``
+        text embeddings -> ``[..., S, S]`` logits."""
         cfg = self.cfg
-        if patch_tokens.shape != (cfg.n_patches, cfg.vision_width):
+        *lead, P, width = patch_tokens.shape
+        if (P, width) != (cfg.n_patches, cfg.vision_width):
             raise ShapeError(
                 f"expected {cfg.n_patches} patch tokens of width {cfg.vision_width}, "
                 f"got {patch_tokens.shape}"
             )
-        cond = matmul(z_text.reshape(1, cfg.joint_width), self.params["decoder.cond.w"])
+        cond = matmul(z_text.reshape(*lead, 1, cfg.joint_width), self.params["decoder.cond.w"])
         cond = cond + self.params["decoder.cond.b"]
         tokens = patch_tokens * (cond + 1.0)
         for i in range(cfg.decoder_layers):
@@ -361,28 +384,49 @@ class Backbone:
         tiles = matmul(tokens, self.params["decoder.unembed.w"]) + self.params[
             "decoder.unembed.b"
         ]
-        g, ps, S = cfg.grid, cfg.patch_size, cfg.image_size
-        body = tiles.reshape(g, g, ps, ps).transpose(0, 2, 1, 3).reshape(S, S)
+        g, ps, S, n = cfg.grid, cfg.patch_size, cfg.image_size, len(lead)
+        body = tiles.reshape(*lead, g, g, ps, ps).transpose(
+            *range(n), n, n + 2, n + 1, n + 3).reshape(*lead, S, S)
         if not cfg.use_upsampler:
             return body
         res = conv2d(
-            body.reshape(1, S, S),
+            body.reshape(*lead, 1, S, S),
             self.params["upsampler.kernel"],
             bias=self.params["upsampler.bias"],
             padding=2,
         )
-        return body + (res * self.params["upsampler.residual_factor"]).reshape(S, S)
+        return body + (res * self.params["upsampler.residual_factor"]).reshape(*lead, S, S)
 
     # -- full model ----------------------------------------------------------
 
-    def forward(self, image: np.ndarray, tokens: np.ndarray, state=None,
-                rng=None) -> Tensor:
-        """Full text-conditioned segmentation pass; ``state`` carries prompts."""
+    def forward(self, image: np.ndarray, tokens, state=None, rng=None) -> Tensor:
+        """Full text-conditioned segmentation pass; ``state`` carries prompts.
+
+        ``image`` [3, S, S] with one token array gives [S, S] logits; a stack
+        [N, 3, S, S] with N token arrays gives [N, S, S], from one prompt build
+        and one text-encoder pass per distinct phrase.
+        """
         from . import prompts
 
         textual, visual = prompts.build_prompts(state, rng=rng)
         img_enc = self.encode_image(image, visual_prompts=visual)
-        if state is not None and state.strategy.image_conditioned:
-            textual = prompts.cocoop_condition(state, img_enc.z)
-        txt_enc = self.encode_text(tokens, textual_prompts=textual)
-        return self.decode(img_enc.patch_tokens, txt_enc.z)
+        conditioned = state is not None and state.strategy.image_conditioned
+        if np.ndim(image) == 3:
+            if conditioned:
+                textual = prompts.cocoop_condition(state, img_enc.z)
+            return self.decode(img_enc.patch_tokens, self.encode_text(tokens, textual).z)
+        if len(tokens) != len(image):
+            raise ShapeError(f"{len(image)} images but {len(tokens)} token arrays")
+        groups: dict[bytes, list[int]] = {}
+        for i, t in enumerate(tokens):
+            groups.setdefault(np.asarray(t).tobytes(), []).append(i)
+        # z rows: one per phrase, or for cocoop one per sample of a phrase pass
+        rows, row_of, n_rows = [], np.empty(len(tokens), dtype=np.int64), 0
+        for idx in groups.values():
+            if conditioned:
+                textual = prompts.cocoop_condition(state, img_enc.z[idx])
+            z = self.encode_text(tokens[idx[0]], textual).z
+            rows.append(z if conditioned else z.reshape(1, -1))
+            row_of[idx] = n_rows + np.arange(len(idx)) if conditioned else n_rows
+            n_rows += rows[-1].shape[0]
+        return self.decode(img_enc.patch_tokens, concat(rows, axis=0)[row_of])

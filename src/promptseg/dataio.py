@@ -269,12 +269,27 @@ def _read_tokens(path: Path) -> list[str]:
     return tokens
 
 
-def _read_ppm(path: Path) -> np.ndarray:
+def _read_plain(path: Path, magic: str, kind: str, channels: int):
+    """(w, h, maxval, pixel values) of a plain PPM/PGM file; a wrong magic,
+    a token that is not a number or missing values is a ``ConfigError``
+    naming the file."""
     tokens = _read_tokens(path)
-    if tokens[0] != "P3":
-        raise ValueError(f"{path} is not a plain PPM file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    vals = np.array(tokens[4 : 4 + 3 * w * h], dtype=np.float64)
+    if len(tokens) < 4 or tokens[0] != magic:
+        raise ConfigError(f"{path} is not a plain {kind} file")
+    try:
+        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        vals = np.array(tokens[4 : 4 + channels * w * h], dtype=np.float64)
+    except ValueError:
+        raise ConfigError(f"{path} holds a header or pixel value that is not a number") \
+            from None
+    if len(vals) < channels * w * h:
+        raise ConfigError(f"{path} holds {len(vals)} of the {channels * w * h} values "
+                          f"of a {w}x{h} {kind} file")
+    return w, h, maxval, vals
+
+
+def _read_ppm(path: Path) -> np.ndarray:
+    w, h, maxval, vals = _read_plain(path, "P3", "PPM", 3)
     return vals.reshape(h, w, 3).transpose(2, 0, 1) / maxval
 
 
@@ -288,12 +303,8 @@ def _write_pgm(path: Path, mask: np.ndarray) -> None:
 
 
 def _read_pgm(path: Path) -> np.ndarray:
-    tokens = _read_tokens(path)
-    if tokens[0] != "P2":
-        raise ValueError(f"{path} is not a plain PGM file")
-    w, h = int(tokens[1]), int(tokens[2])
-    vals = np.array(tokens[4 : 4 + w * h], dtype=np.uint8)
-    return vals.reshape(h, w)
+    w, h, _, vals = _read_plain(path, "P2", "PGM", 1)
+    return vals.astype(np.uint8).reshape(h, w)
 
 
 def save_dataset(root, splits: dict[str, list[SegmentationSample]]) -> str:

@@ -5,7 +5,9 @@ are appended after the CLS token and patch embeddings.  Below the prompt depth
 the previous layer's prompt-slot outputs are discarded and fresh parameters
 are injected; at and beyond the depth the slots ride along like ordinary
 tokens.  Multimodal learners derive both modalities' prompts from unified
-prompts through a per-layer coupling function.
+prompts through a per-layer coupling function.  Prompts are shared by every
+sample of a stack and repeated over its leading axes where they are injected;
+only cocoop's image-conditioned prompts carry a leading axis of their own.
 
 Everything that differs between the learners is one entry of ``STRATEGIES``.
 """
@@ -17,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .backbone import Backbone, init_block_params, transformer_block
-from .tensor import ConfigError, Tensor, concat, layer_norm, matmul, relu
+from .backbone import Backbone, init_block_params, join_tokens, transformer_block
+from .tensor import ConfigError, Tensor, layer_norm, matmul, relu
 
 INIT_PHRASE = "a photo of a"
 SIGMA = 0.02
@@ -58,10 +60,10 @@ def inject_textual(layer_index: int, seq: Tensor, prompts: list[Tensor]) -> Tens
         return seq
     J = len(prompts)
     if layer_index == 0:
-        return concat([prompts[0], seq], axis=0)
+        return join_tokens([prompts[0], seq])
     if layer_index < J:
-        B = prompts[layer_index].shape[0]
-        return concat([prompts[layer_index], seq[B:]], axis=0)
+        B = prompts[layer_index].shape[-2]
+        return join_tokens([prompts[layer_index], seq[..., B:, :]])
     return seq
 
 
@@ -72,9 +74,9 @@ def inject_visual(layer_index: int, seq: Tensor, prompts: list[Tensor],
     if not prompts:
         return seq
     if layer_index == 0:
-        return concat([seq, prompts[0]], axis=0)
+        return join_tokens([seq, prompts[0]])
     if layer_index < len(prompts):
-        return concat([seq[:body_len], prompts[layer_index]], axis=0)
+        return join_tokens([seq[..., :body_len, :], prompts[layer_index]])
     return seq
 
 
@@ -291,12 +293,13 @@ def init_prompts(
 
 
 def cocoop_condition(state: PromptState, z_image: Tensor) -> list[Tensor]:
-    """Shift every textual prompt by the meta-net's image-conditioned bias."""
+    """Shift every textual prompt by the meta-net's image-conditioned bias;
+    ``z_image`` [..., H_vl] gives prompts [..., B, H_l]."""
     if not state.strategy.image_conditioned:
         raise ConfigError(f"cocoop_condition requires a cocoop state, got {state.kind}")
     p = state.params
-    h = relu(matmul(z_image.reshape(1, -1), p["meta.w1"]) + p["meta.b1"])
-    pi = (matmul(h, p["meta.w2"]) + p["meta.b2"]).reshape(-1)
+    h = relu(matmul(z_image.reshape(*z_image.shape[:-1], 1, -1), p["meta.w1"]) + p["meta.b1"])
+    pi = matmul(h, p["meta.w2"]) + p["meta.b2"]  # [..., 1, H_l]
     return [p[f"textual{i}"] + pi for i in range(state.J)]
 
 

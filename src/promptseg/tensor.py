@@ -4,7 +4,7 @@ Everything is stored as 64-bit floats in row-major numpy buffers.  The graph is
 built eagerly: every op records its parents and a closure that routes the
 incoming gradient to them.  `backward` walks the graph once in reverse
 topological order from a scalar root.  Tensors with ``requires_grad=False``
-never receive a gradient buffer.
+never receive a gradient buffer, and no closure computes one for them.
 """
 
 from __future__ import annotations
@@ -145,8 +145,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad, (a, b))
 
     def _bw(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
 
     out._backward = _bw
     return out
@@ -162,8 +164,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad, (a, b))
 
     def _bw(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     out._backward = _bw
     return out
@@ -216,6 +220,14 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return out
 
 
+def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
+    """Read-only view of ``a`` repeated over new leading (or size-1) axes."""
+    a = as_tensor(a)
+    out = Tensor(np.broadcast_to(a.data, shape), a.requires_grad, (a,))
+    out._backward = lambda g: a._accumulate(_unbroadcast(g, a.shape))
+    return out
+
+
 def take(a: Tensor, key) -> Tensor:
     """Slice / integer-array indexing with scatter-add backward."""
     a = as_tensor(a)
@@ -242,7 +254,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def _bw(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
+            if t.requires_grad:
+                t._accumulate(piece)
 
     out._backward = _bw
     return out
@@ -265,16 +278,24 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a[..., m, k] @ b[..., k, n]`` with equal leading axes, or a 2-D ``b``
+    shared by every leading index of ``a``."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul expects >=2-d operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
+    shared = b.data.ndim == 2
+    if a.shape[-1] != b.shape[-2] or not (shared or a.shape[:-2] == b.shape[:-2]):
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b))
 
     def _bw(g):
-        a._accumulate(g @ b.data.swapaxes(-1, -2))
-        b._accumulate(a.data.swapaxes(-1, -2) @ g)
+        if a.requires_grad:
+            a._accumulate(g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad and shared:
+            # one GEMM over the rows of every leading index
+            b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        elif b.requires_grad:
+            b._accumulate(a.data.swapaxes(-1, -2) @ g)
 
     out._backward = _bw
     return out
@@ -315,8 +336,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def _bw(g):
         bcast = tuple(range(g.ndim - 1))
-        gamma._accumulate((g * xhat).sum(axis=bcast) if bcast else g * xhat)
-        beta._accumulate(g.sum(axis=bcast) if bcast else g.copy())
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).sum(axis=bcast) if bcast else g * xhat)
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=bcast) if bcast else g.copy())
+        if not x.requires_grad:
+            return
         dxhat = g * gamma.data
         dx = inv * (
             dxhat
@@ -333,9 +358,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int = 0) -> Tensor:
-    """Cross-correlate ``x[c_in,h,w]`` with ``kernel[c_out,c_in,kh,kw]``, zero padded."""
+    """Cross-correlate ``x[..., c_in, h, w]`` with ``kernel[c_out, c_in, kh, kw]``,
+    zero padded; leading axes index independent images."""
     x, kernel = as_tensor(x), as_tensor(kernel)
-    c_in, h, w = x.shape
+    *lead, c_in, h, w = x.shape
+    lead, n = tuple(lead), len(lead)
     c_out, kc, kh, kw = kernel.shape
     if kc != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {c_in}, kernel {kc}")
@@ -346,12 +373,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
         raise ShapeError(
             f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    # cols: [c_in*kh*kw, oh*ow]
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, oh * ow)
+    xp = np.pad(x.data, ((0, 0),) * (n + 1) + ((padding, padding),) * 2)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-2, -1))
+    # cols: [..., c_in*kh*kw, oh*ow]
+    cols = windows.transpose(*range(n), n, n + 3, n + 4, n + 1, n + 2).reshape(
+        *lead, c_in * kh * kw, oh * ow)
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
-    val = (kmat @ cols).reshape(c_out, oh, ow)
+    val = (kmat @ cols).reshape(*lead, c_out, oh, ow)
     parents = [x, kernel]
     if bias is not None:
         bias = as_tensor(bias)
@@ -360,19 +388,28 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
     out = Tensor(val, any(p.requires_grad for p in parents), tuple(parents))
 
     def _bw(g):
-        g2 = g.reshape(c_out, oh * ow)
-        kernel._accumulate((g2 @ cols.T).reshape(kernel.shape))
-        dcols = kmat.T @ g2  # [c_in*kh*kw, oh*ow]
+        g2 = g.reshape(*lead, c_out, oh * ow)
+        # summed over leading axes only when there are some: a sum over one
+        # image would turn -0.0 into 0.0
+        if kernel.requires_grad:
+            gk = g2 @ cols.swapaxes(-1, -2)  # [..., c_out, c_in*kh*kw]
+            if lead:
+                gk = gk.reshape(-1, *gk.shape[-2:]).sum(axis=0)
+            kernel._accumulate(gk.reshape(kernel.shape))
+        if bias is not None and bias.requires_grad:
+            gb = g.sum(axis=(-2, -1))
+            bias._accumulate(gb.reshape(-1, c_out).sum(axis=0) if lead else gb)
+        if not x.requires_grad:
+            return
+        dcols = kmat.T @ g2  # [..., c_in*kh*kw, oh*ow]
         dxp = np.zeros_like(xp)
-        dwin = dcols.reshape(c_in, kh, kw, oh, ow)
+        dwin = dcols.reshape(*lead, c_in, kh, kw, oh, ow)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i : i + oh, j : j + ow] += dwin[:, i, j]
+                dxp[..., i : i + oh, j : j + ow] += dwin[..., i, j, :, :]
         if padding:
-            dxp = dxp[:, padding:-padding, padding:-padding]
+            dxp = dxp[..., padding:-padding, padding:-padding]
         x._accumulate(dxp)
-        if bias is not None:
-            bias._accumulate(g.sum(axis=(1, 2)))
 
     out._backward = _bw
     return out

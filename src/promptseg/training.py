@@ -183,16 +183,15 @@ def train(model: Backbone, state: PromptState, dataset: dict,
         step_loss = 0.0
         for _ in range(run_cfg.grad_accum):
             batch = [next_sample() for _ in range(run_cfg.micro_batch)]
-            losses = []
-            for s in batch:
-                if run_cfg.augment:
-                    s = augment_sample(s, rng)
-                logits = model.forward(s.image, tok(s.phrase), state, rng=rng)
-                losses.append(combined_loss(logits, s.mask, loss_cfg))
-            micro = losses[0]
-            for extra in losses[1:]:
-                micro = micro + extra
-            micro = micro * (1.0 / (len(losses) * run_cfg.grad_accum))
+            if run_cfg.augment:
+                batch = [augment_sample(s, rng) for s in batch]
+            # one graph for the micro-batch: logits [N, S, S]
+            logits = model.forward(np.stack([s.image for s in batch]),
+                                   [tok(s.phrase) for s in batch], state, rng=rng)
+            micro = combined_loss(logits[0], batch[0].mask, loss_cfg)
+            for i in range(1, len(batch)):
+                micro = micro + combined_loss(logits[i], batch[i].mask, loss_cfg)
+            micro = micro * (1.0 / (len(batch) * run_cfg.grad_accum))
             micro.backward()
             step_loss += micro.item()
         if not np.isfinite(step_loss):

@@ -221,6 +221,18 @@ class TestForward:
         b = model.forward(img, toks, state).data
         assert np.array_equal(a, b)
 
+    def test_stack_gives_each_sample_its_own_logits(self):
+        model = Backbone(small_cfg())
+        images = np.random.default_rng(11).random((3, 3, 32, 32))
+        toks = [tokenize(p, 16) for p in ("cat", "dog", "cat")]
+        state = init_prompts("cocoop", B=4, J=2, backbone=model, seed=12)
+        out = model.forward(images, toks, state)
+        assert out.shape == (3, 32, 32)
+        for img, t, logits in zip(images, toks, out.data):
+            assert np.array_equal(logits, model.forward(img, t, state).data)
+        with pytest.raises(ShapeError, match="3 images but 2 token arrays"):
+            model.forward(images, toks[:2], state)
+
 
 class TestFreezeBookkeeping:
     def test_upsampler_trainable_rest_frozen(self):

@@ -143,6 +143,28 @@ class TestExitCodes:
         assert record["status"] == "failed"
         assert "at step 1" in record["config"]["_error"]
 
+    def test_malformed_fixture_exit_code(self, tmp_path, capsys):
+        fixture = tmp_path / "fixture"
+        assert cli.main(["gen-data", *SMALL, "--out", str(fixture)]) == 0
+        root = fixture / "dataset"
+        image, mask = root / "images" / "train_0000.ppm", root / "masks" / "train_0000.pgm"
+        good = {image: image.read_text(), mask: mask.read_text()}
+        broken = [
+            (image, good[image][:200], "values"),               # PPM cut short
+            (image, good[image].replace("P3", "P5", 1), "not a plain PPM"),
+            (image, good[image].replace("65535\n", "65535\nabc ", 1), "not a number"),
+            (mask, good[mask][:40], "values"),                   # PGM cut short
+        ]
+        for path, text, what in broken:
+            for p, original in good.items():
+                p.write_text(original)
+            path.write_text(text)
+            rc = cli.main(["train", *SMALL, "--set", f'data.path="{root}"',
+                           "--out", str(tmp_path / "run")])
+            err = capsys.readouterr().err
+            assert rc == 1, err
+            assert str(path) in err and what in err
+
     def test_runtime_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*a, **kw):
             raise RuntimeError("disk on fire")

@@ -1,7 +1,14 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats
 
+from promptseg.prompts import KINDS
 from promptseg.sweep import (
     Dim,
     SearchSpace,
@@ -228,6 +235,63 @@ class TestStudyPersistence:
             TrialRecord(1, {}, 0.4, 0.3, "complete", 0),
         ])
         assert study.best is study.records[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=hst.data())
+    def test_save_load_round_trip_property(self, data):
+        """save_study then load_study gives back the seed, strategy, space,
+        sampler state and every record; NaN compares by math.isnan."""
+        words = hst.text(min_size=1, max_size=12)
+        finite = hst.floats(allow_nan=False, allow_infinity=False)
+        value = hst.one_of(hst.integers(-2**40, 2**40), finite, hst.booleans(), words)
+        dim = hst.one_of(
+            hst.builds(Dim, words, hst.sampled_from(["log", "linear", "int"]),
+                       finite, finite),
+            hst.builds(Dim, words, hst.just("choice"),
+                       choices=hst.lists(value, min_size=1, max_size=4),
+                       applies=hst.lists(hst.sampled_from(("all",) + KINDS), min_size=1,
+                                         max_size=3).map(tuple)),
+        )
+        space = SearchSpace(data.draw(hst.lists(dim, min_size=1, max_size=5)))
+        records = []
+        for i in range(data.draw(hst.integers(0, 6))):
+            config = data.draw(hst.dictionaries(words, value, max_size=5))
+            if data.draw(hst.booleans()):
+                records.append(TrialRecord(
+                    i, config,
+                    data.draw(hst.one_of(finite, hst.just(float("nan")))),
+                    data.draw(finite), "complete", data.draw(hst.integers(0, 2**31 - 1)),
+                    data.draw(finite)))
+            else:
+                records.append(TrialRecord(
+                    i, dict(config, _error=data.draw(hst.text())), None, None, "failed",
+                    data.draw(hst.integers(0, 2**31 - 1)), data.draw(finite)))
+        study = StudyState(data.draw(hst.sampled_from(KINDS)),
+                           data.draw(hst.integers(0, 2**63 - 1)), space, records=records)
+        study.rng.random(data.draw(hst.integers(0, 5)))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "study.jsonl"
+            save_study(path, study)
+            loaded = load_study(path)
+
+        def same(a, b):
+            if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+                return math.isnan(b)
+            return type(a) is type(b) and a == b
+
+        assert (loaded.strategy, loaded.seed) == (study.strategy, study.seed)
+        assert loaded.space.to_json() == space.to_json()
+        assert loaded.rng.bit_generator.state == study.rng.bit_generator.state
+        assert len(loaded.records) == len(records)
+        for got, want in zip(loaded.records, records):
+            a, b = got.to_json(), want.to_json()
+            assert a.keys() == b.keys()
+            for key in ("trial_id", "val_dice", "test_dice", "status", "seed", "wall_time"):
+                assert same(a[key], b[key]), key
+            assert a["config"].keys() == b["config"].keys()
+            for key, v in b["config"].items():
+                assert same(a["config"][key], v), key
 
     def test_trial_seeds_deterministic_and_distinct(self):
         seeds = [trial_seed(5, i) for i in range(10)]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from promptseg import training
-from promptseg.backbone import Backbone, BackboneConfig
+from promptseg.backbone import Backbone, BackboneConfig, tokenize
 from promptseg.dataio import SyntheticTaskSpec, generate_dataset
-from promptseg.prompts import init_prompts
-from promptseg.tensor import ShapeError, Tensor
+from promptseg.prompts import KINDS, init_prompts, trainable_parameters
+from promptseg.tensor import ShapeError, Tensor, zero_grads
 from promptseg.training import (
     AdamW,
     FreezeViolationError,
@@ -305,3 +307,82 @@ class TestTrainLoop:
     def test_evaluate_empty_returns_nan(self, tiny_run):
         model, _ = tiny_run
         assert np.isnan(evaluate(model, None, []))
+
+
+# -- one graph per micro-batch against the per-sample loop ---------------------
+
+
+@pytest.fixture(scope="module")
+def three_phrases():
+    model = Backbone(BackboneConfig(image_size=16), seed=0)
+    spec = SyntheticTaskSpec(n_classes=3, image_size=16,
+                             samples_per_split={"train": 8}, seed=5, align=4)
+    return model, generate_dataset(spec)["train"]
+
+
+def _state(kind, model, depth, seed):
+    state = init_prompts(kind, B=2, J=1 if kind == "coop" else depth, backbone=model,
+                         seed=seed)
+    if kind == "cocoop":
+        # a non-zero meta-net output layer, so the image conditioning matters
+        state.params["meta.w2"].data = np.random.default_rng(seed).normal(
+            0.0, 0.1, state.params["meta.w2"].shape)
+    return state
+
+
+def _gradients(model, state, batch, batched: bool):
+    """Loss and trainable gradients of one micro-batch as ``train`` scales it;
+    ``batched`` runs one forward over the stack, else one per sample."""
+    params = [t for _, t in trainable_parameters(state, model)]
+    zero_grads(params)
+    tokens = [tokenize(s.phrase, model.cfg.max_text_len) for s in batch]
+    if batched:
+        logits = model.forward(np.stack([s.image for s in batch]), tokens, state)
+        per_sample = [logits[i] for i in range(len(batch))]
+    else:
+        per_sample = [model.forward(s.image, t, state) for s, t in zip(batch, tokens)]
+    loss = combined_loss(per_sample[0], batch[0].mask, LossConfig())
+    for z, s in zip(per_sample[1:], batch[1:]):
+        loss = loss + combined_loss(z, s.mask, LossConfig())
+    loss = loss * (1.0 / len(batch))
+    loss.backward()
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    zero_grads(params)
+    return loss.item(), grads
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=hst.sampled_from(KINDS), depth=hst.integers(1, 2), seed=hst.integers(0, 99),
+       picks=hst.lists(hst.integers(0, 7), min_size=1, max_size=4))
+def test_batched_micro_batch_matches_per_sample_loop(three_phrases, kind, depth, seed,
+                                                     picks):
+    model, samples = three_phrases
+    state = _state(kind, model, depth, seed)
+    batch = [samples[i] for i in picks]   # three phrases over eight samples: repeats
+    loss_loop, loop = _gradients(model, state, batch, batched=False)
+    loss_stack, stack = _gradients(model, state, batch, batched=True)
+    assert loss_stack == loss_loop
+    # scaled by the largest entry over all parameters: shared-attention's
+    # coupler key bias has an analytically zero gradient, pure round-off
+    scale = max(float(np.max(np.abs(g))) for g in loop)
+    err = max(float(np.max(np.abs(a - b))) for a, b in zip(stack, loop))
+    assert err <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_frozen_weights_marked_trainable_change_no_trainable_gradient(three_phrases, kind):
+    model, samples = three_phrases
+    state = _state(kind, model, 2, 3)
+    batch = [samples[0], samples[1], samples[0], samples[5]]
+    _, skipped = _gradients(model, state, batch, batched=True)
+    frozen = [model.params[n] for n in model.frozen_param_names()]
+    try:
+        for t in frozen:
+            t.requires_grad = True
+        _, computed = _gradients(model, state, batch, batched=True)
+    finally:
+        for t in frozen:
+            t.requires_grad = False
+            t.grad = None
+    for a, b in zip(skipped, computed):
+        assert a.tobytes() == b.tobytes()
