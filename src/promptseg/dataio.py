@@ -131,8 +131,9 @@ def generate_dataset(spec: SyntheticTaskSpec) -> dict[str, list[SegmentationSamp
 # -- bicubic resize ----------------------------------------------------------
 
 
-def cubic_kernel(t: float, a: float = -0.5) -> float:
-    """Catmull-Rom cubic interpolation kernel."""
+def cubic_kernel(t: float) -> float:
+    """Catmull-Rom cubic interpolation kernel (a = -0.5)."""
+    a = -0.5
     t = abs(t)
     if t <= 1.0:
         return (a + 2.0) * t**3 - (a + 3.0) * t**2 + 1.0

@@ -28,7 +28,7 @@ SIGMA = 0.02
 
 @dataclass
 class CouplerConfig:
-    unified_dim: int = 32          # H_u
+    unified_dim: int = 32          # H_u of the shared learners; maple's H_u is H_l
     use_lora: bool = False
     intermediate_dim: int = 32     # LoRA rank / CoCoOp meta-net bottleneck
     attn_heads: int = 4
@@ -135,12 +135,9 @@ def _init_vpt(ini: _Init):
 
 
 def _init_maple(ini: _Init):
+    """Unified prompts live in text space: H_u is H_l, whatever
+    ``coupler.unified_dim`` says."""
     c = ini.coupler
-    if c.unified_dim != ini.H_l:
-        raise ConfigError(
-            f"maple unified prompts live in text space: H_u must equal {ini.H_l}, "
-            f"got {c.unified_dim}"
-        )
     for i in range(ini.J):
         yield f"unified{i}", ini.text_prompt(i)
         if c.use_lora:

@@ -125,6 +125,15 @@ def _coerce(key: str, default, value):
 
 def apply_override(cfg: dict, dotted: str, raw: str) -> None:
     """Apply one ``a.b.c=value`` CLI override, type-checked against the schema."""
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    set_key(cfg, dotted, value)
+
+
+def set_key(cfg: dict, dotted: str, value) -> None:
+    """Set the existing key ``a.b.c`` to ``value``, type-checked against the schema."""
     node = cfg
     parts = dotted.split(".")
     for part in parts[:-1]:
@@ -134,11 +143,18 @@ def apply_override(cfg: dict, dotted: str, raw: str) -> None:
     leaf = parts[-1]
     if leaf not in node:
         raise ConfigError(f"unknown config key {dotted!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
     node[leaf] = _coerce(dotted, node[leaf], value)
+
+
+# the config key each search-space dimension sets
+SWEEP_KEYS = {
+    "learning_rate": "train.learning_rate",
+    "weight_decay": "train.weight_decay",
+    "prompt_depth": "prompt_depth",
+    "shared_dim": "coupler.unified_dim",
+    **{name: f"coupler.{name}" for name in ("intermediate_dim", "use_lora", "attn_heads",
+                                            "attn_dropout", "attn_ff_dim", "layernorm_first")},
+}
 
 
 # -- assembly ----------------------------------------------------------------
@@ -151,51 +167,27 @@ def build_backbone(cfg: dict, use_upsampler=None) -> Backbone:
     return Backbone(BackboneConfig(**b), seed=cfg["seed"])
 
 
-def build_coupler(cfg: dict, strategy: str, trial: dict | None = None) -> CouplerConfig:
-    c = dict(cfg["coupler"])
-    trial = trial or {}
-    if strategy == "maple":
-        c["unified_dim"] = cfg["backbone"]["text_width"]
-    elif strategy == "shared-separate" and "shared_dim" in trial:
-        c["unified_dim"] = int(trial["shared_dim"])
-    for key in ("intermediate_dim", "attn_heads", "attn_ff_dim"):
-        if key in trial:
-            c[key] = int(trial[key])
-    if "use_lora" in trial:
-        c["use_lora"] = bool(trial["use_lora"])
-    if "attn_dropout" in trial:
-        c["attn_dropout"] = float(trial["attn_dropout"])
-    if "layernorm_first" in trial:
-        c["layernorm_first"] = bool(trial["layernorm_first"])
-    return CouplerConfig(**c)
-
-
-def build_state(cfg: dict, backbone: Backbone, trial: dict | None = None,
-                seed: int | None = None):
+def build_state(cfg: dict, backbone: Backbone, seed: int | None = None):
     strategy = cfg["strategy"]
-    trial = trial or {}
-    depth = STRATEGIES[strategy].depth or int(trial.get("prompt_depth", cfg["prompt_depth"]))
     return init_prompts(
         strategy,
         B=cfg["prompt_length"],
-        J=depth,
+        J=STRATEGIES[strategy].depth or cfg["prompt_depth"],
         backbone=backbone,
-        coupler=build_coupler(cfg, strategy, trial),
+        coupler=CouplerConfig(**cfg["coupler"]),
         init_mode=cfg["init_mode"],
         seed=cfg["seed"] if seed is None else seed,
     )
 
 
-def build_run_cfg(cfg: dict, trial: dict | None = None,
-                  seed: int | None = None) -> TrainRunConfig:
+def build_run_cfg(cfg: dict, seed: int | None = None) -> TrainRunConfig:
     t = cfg["train"]
-    trial = trial or {}
     return TrainRunConfig(
         steps=t["steps"],
         micro_batch=t["micro_batch"],
         grad_accum=t["grad_accum"],
-        learning_rate=float(trial.get("learning_rate", t["learning_rate"])),
-        weight_decay=float(trial.get("weight_decay", t["weight_decay"])),
+        learning_rate=t["learning_rate"],
+        weight_decay=t["weight_decay"],
         seed=cfg["seed"] if seed is None else seed,
         eval_every=t["eval_every"],
         augment=t["augment"],
@@ -236,29 +228,29 @@ def get_dataset(cfg: dict) -> dict:
     return dataset
 
 
-def run_training(cfg: dict, out_dir=None, dataset=None, trial: dict | None = None,
-                 seed: int | None = None):
+def run_training(cfg: dict, out_dir=None, dataset=None, seed: int | None = None):
     """One full experiment: build, train, evaluate.  Returns
     (artifacts, test_dice, model, state)."""
     dataset = dataset if dataset is not None else get_dataset(cfg)
     model = build_backbone(cfg)
-    state = build_state(cfg, model, trial=trial, seed=seed)
-    run_cfg = build_run_cfg(cfg, trial=trial, seed=seed)
+    state = build_state(cfg, model, seed=seed)
+    run_cfg = build_run_cfg(cfg, seed=seed)
     artifacts = train(model, state, dataset, run_cfg, out_dir=out_dir)
     test_dice = evaluate(model, state, dataset.get("test", []))
     return artifacts, test_dice, model, state
 
 
 def make_objective(cfg: dict, dataset: dict):
-    """Adapt sweep trial configs to full training runs.  The sweep's training
-    budget (sweep.steps) replaces the standalone budget."""
-    sweep_cfg = copy.deepcopy(cfg)
-    sweep_cfg["train"]["steps"] = cfg["sweep"]["steps"]
+    """Adapt sweep trials to full training runs: each trial is the config
+    with every sampled value set at its ``SWEEP_KEYS`` key.  The sweep's
+    training budget (sweep.steps) replaces the standalone budget."""
 
     def objective(trial: dict, seed: int):
-        artifacts, test_dice, _, _ = run_training(
-            sweep_cfg, dataset=dataset, trial=trial, seed=seed
-        )
+        trial_cfg = copy.deepcopy(cfg)
+        trial_cfg["train"]["steps"] = cfg["sweep"]["steps"]
+        for name, value in trial.items():
+            set_key(trial_cfg, SWEEP_KEYS[name], value)
+        artifacts, test_dice, _, _ = run_training(trial_cfg, dataset=dataset, seed=seed)
         return artifacts.final_val_dice, test_dice
 
     return objective

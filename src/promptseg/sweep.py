@@ -4,7 +4,8 @@ sampler, resumable study execution, and reporting.
 The sampler splits finished trials at the gamma-quantile of validation dice,
 fits kernel densities to the good and bad sets per dimension, draws candidates
 from the good density, and keeps the candidate with the best density ratio.
-The first ``n_startup`` trials are uniform.
+Until ``N_STARTUP`` trials have completed with a finite validation dice, every
+trial is drawn uniformly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import ConfigError
-from .training import FreezeViolationError
+from .training import NonFiniteLossError
 
 GAMMA = 0.25
 N_STARTUP = 10
@@ -140,8 +141,7 @@ def _kde_logpdf(x: np.ndarray, centers: np.ndarray, bw: float) -> np.ndarray:
     return np.log(dens + 1e-300)
 
 
-def _numeric_tpe(dim: Dim, good: np.ndarray, bad: np.ndarray, rng,
-                 n_candidates: int) -> float:
+def _numeric_tpe(dim: Dim, good: np.ndarray, bad: np.ndarray, rng) -> float:
     lo = _transform(dim, dim.low)
     hi = _transform(dim, dim.high)
     span = hi - lo
@@ -153,15 +153,15 @@ def _numeric_tpe(dim: Dim, good: np.ndarray, bad: np.ndarray, rng,
         return max(s * len(vals) ** -0.2, span * 0.01)  # Scott's rule with a floor
 
     bw_g = bandwidth(good)
-    centers = good[rng.integers(len(good), size=n_candidates)]
-    cand = np.clip(centers + rng.normal(0.0, bw_g, n_candidates), lo, hi)
+    centers = good[rng.integers(len(good), size=N_CANDIDATES)]
+    cand = np.clip(centers + rng.normal(0.0, bw_g, N_CANDIDATES), lo, hi)
     score = _kde_logpdf(cand, good, bw_g)
     if len(bad):
         score = score - _kde_logpdf(cand, bad, bandwidth(bad))
     return float(cand[int(np.argmax(score))])
 
 
-def _choice_tpe(dim: Dim, good: list, bad: list, rng, n_candidates: int):
+def _choice_tpe(dim: Dim, good: list, bad: list, rng):
     k = len(dim.choices)
 
     def probs(vals):
@@ -172,24 +172,23 @@ def _choice_tpe(dim: Dim, good: list, bad: list, rng, n_candidates: int):
 
     pl = probs(good)
     pg = probs(bad)
-    idx = rng.choice(k, size=n_candidates, p=pl)
+    idx = rng.choice(k, size=N_CANDIDATES, p=pl)
     ratios = pl[idx] / pg[idx]
     return dim.choices[int(idx[int(np.argmax(ratios))])]
 
 
 def sample_trial(space: SearchSpace, strategy: str, history: list[TrialRecord],
-                 rng, n_startup: int = N_STARTUP, gamma: float = GAMMA,
-                 n_candidates: int = N_CANDIDATES) -> dict:
+                 rng) -> dict:
     """One sampled configuration containing exactly the applicable dimensions."""
     dims = space.dims_for(strategy)
     complete = [t for t in history
                 if t.status == "complete" and t.val_dice is not None
                 and np.isfinite(t.val_dice)]
-    if len(complete) < n_startup:
+    if len(complete) < N_STARTUP:
         return {d.name: _uniform_draw(d, rng) for d in dims}
 
     ranked = sorted(complete, key=lambda t: -t.val_dice)
-    n_good = max(1, int(np.ceil(gamma * len(ranked))))
+    n_good = max(1, int(np.ceil(GAMMA * len(ranked))))
     good_trials, bad_trials = ranked[:n_good], ranked[n_good:]
 
     cfg = {}
@@ -199,13 +198,11 @@ def sample_trial(space: SearchSpace, strategy: str, history: list[TrialRecord],
         if not good_vals:
             cfg[dim.name] = _uniform_draw(dim, rng)
         elif dim.kind == "choice":
-            cfg[dim.name] = _choice_tpe(dim, good_vals, bad_vals, rng, n_candidates)
+            cfg[dim.name] = _choice_tpe(dim, good_vals, bad_vals, rng)
         else:
             g = np.array([_transform(dim, v) for v in good_vals])
             b = np.array([_transform(dim, v) for v in bad_vals])
-            cfg[dim.name] = _untransform(
-                dim, _numeric_tpe(dim, g, b, rng, n_candidates)
-            )
+            cfg[dim.name] = _untransform(dim, _numeric_tpe(dim, g, b, rng))
     return cfg
 
 
@@ -266,14 +263,14 @@ def trial_seed(study_seed: int, trial_id: int) -> int:
 
 
 def run_study(strategy: str, space: SearchSpace, n_trials: int, objective,
-              seed: int = 0, out_path=None, resume: bool = True) -> StudyState:
+              seed: int = 0, out_path=None) -> StudyState:
     """Execute trials sequentially; ``objective(config, seed)`` returns
-    (val_dice, test_dice).  Failures are recorded and the study continues;
-    a frozen-backbone violation is not a trial failure and ends the study.
-    The study file is rewritten after every trial so a crash loses at most
-    the in-flight trial; it resumes only under the same strategy, seed and
-    search space."""
-    if out_path is not None and resume and Path(out_path).exists():
+    (val_dice, test_dice).  A trial whose training diverged (a non-finite
+    loss) is recorded as failed and the study continues; any other error
+    ends the study.  The study file is rewritten after every trial so a
+    crash loses at most the in-flight trial; it resumes only under the same
+    strategy, seed and search space."""
+    if out_path is not None and Path(out_path).exists():
         study = load_study(out_path)
         if study.strategy != strategy:
             raise ConfigError(
@@ -295,9 +292,7 @@ def run_study(strategy: str, space: SearchSpace, n_trials: int, objective,
             val_dice, test_dice = objective(cfg, tseed)
             rec = TrialRecord(trial_id, cfg, float(val_dice), float(test_dice),
                               "complete", tseed, time.monotonic() - t0)
-        except FreezeViolationError:
-            raise
-        except Exception as exc:  # trial failure must not kill the study
+        except NonFiniteLossError as exc:
             rec = TrialRecord(trial_id, cfg, None, None, "failed", tseed,
                               time.monotonic() - t0)
             rec.config = dict(cfg, _error=str(exc))

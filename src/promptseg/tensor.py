@@ -29,13 +29,13 @@ class GradientError(RuntimeError):
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False, _parents=()):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = _parents
-        self._backward = _backward
+        self._backward = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -261,13 +261,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a: Tensor) -> Tensor:
+    """The sum of every element, as a scalar."""
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad, (a,))
+    out = Tensor(a.data.sum(), a.requires_grad, (a,))
 
     def _bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.shape).copy())
 
     out._backward = _bw

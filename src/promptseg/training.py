@@ -17,6 +17,8 @@ from .tensor import ShapeError, Tensor, bce_with_logits, power, reduce_sum, sigm
 
 # probability above which a pixel counts as foreground when scoring dice
 THRESHOLD = 0.5
+# AdamW moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class FreezeViolationError(RuntimeError):
@@ -101,33 +103,31 @@ class AdamW:
     """Adam with bias correction and decoupled weight decay applied to the
     parameters directly, not folded into the gradient."""
 
-    def __init__(self, named_params, learning_rate: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, learning_rate: float, weight_decay: float = 0.0):
         self.named_params = list(named_params)
         self.lr = learning_rate
         self.wd = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in self.named_params}
         self.v = {name: np.zeros_like(t.data) for name, t in self.named_params}
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, p in self.named_params:
             if name not in self.m:
                 raise KeyError(f"no moment buffers for parameter {name}")
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             mhat = m / bc1
             vhat = v / bc2
-            p.data = p.data - self.lr * (mhat / (np.sqrt(vhat) + self.eps) + self.wd * p.data)
+            p.data = p.data - self.lr * (mhat / (np.sqrt(vhat) + EPS) + self.wd * p.data)
 
     def zero_grad(self) -> None:
         zero_grads(t for _, t in self.named_params)
@@ -197,15 +197,10 @@ def train(model: Backbone, state: PromptState, dataset: dict,
         if not np.isfinite(step_loss):
             raise NonFiniteLossError(f"non-finite loss {step_loss} at step {step}")
         opt.step()
-        record = None
-        if step % run_cfg.eval_every == 0 or step == run_cfg.steps:
-            val_dice = evaluate(model, state, val_samples)
-            record = {"step": step, "loss": step_loss, "dice": val_dice,
-                      "lr": run_cfg.learning_rate}
-            metrics.append(record)
-        else:
-            metrics.append({"step": step, "loss": step_loss, "dice": None,
-                            "lr": run_cfg.learning_rate})
+        evaluated = step % run_cfg.eval_every == 0 or step == run_cfg.steps
+        metrics.append({"step": step, "loss": step_loss,
+                        "dice": evaluate(model, state, val_samples) if evaluated else None,
+                        "lr": run_cfg.learning_rate})
         if on_step is not None:
             on_step(step, model, state)
 

@@ -1,10 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from promptseg import cli, runner, training
+from promptseg import cli, runner, sweep, training
 from promptseg.checkpoint import load_arrays
+from promptseg.prompts import KINDS
 from promptseg.tensor import ConfigError
 
 SMALL = [
@@ -60,6 +62,51 @@ class TestConfig:
         path.write_text(json.dumps({"optimizer": "sgd"}))
         with pytest.raises(ConfigError):
             runner.load_config(path)
+
+
+class TestSweepTrials:
+    def test_every_dimension_sets_a_config_key(self):
+        space = sweep.default_search_space()
+        assert set(runner.SWEEP_KEYS) == {d.name for d in space.dims}
+        rng = np.random.default_rng(0)
+        for strategy in KINDS:
+            for _ in range(5):
+                trial = sweep.sample_trial(space, strategy, [], rng)
+                cfg = runner.default_config()
+                for name, value in trial.items():
+                    runner.set_key(cfg, runner.SWEEP_KEYS[name], value)
+                    section, _, leaf = runner.SWEEP_KEYS[name].rpartition(".")
+                    assert (cfg[section] if section else cfg)[leaf] == value
+
+    def test_trial_reaches_run_as_config(self, monkeypatch):
+        seen = []
+
+        def fake_run(cfg, out_dir=None, dataset=None, seed=None):
+            seen.append((cfg, seed))
+            return SimpleNamespace(final_val_dice=0.5), 0.25, None, None
+
+        monkeypatch.setattr(runner, "run_training", fake_run)
+        cfg = runner.load_config(overrides=[("sweep.steps", "7")])
+        objective = runner.make_objective(cfg, dataset={})
+        attention = {"learning_rate": 2e-4, "weight_decay": 3e-3, "prompt_depth": 3,
+                     "attn_heads": 8, "attn_dropout": 0.3, "attn_ff_dim": 128,
+                     "layernorm_first": False}
+        assert objective(attention, 11) == (0.5, 0.25)
+        assert objective({"learning_rate": 1e-4, "weight_decay": 1e-5,
+                          "prompt_depth": 1, "shared_dim": 64}, 12) == (0.5, 0.25)
+        (first, seed1), (second, seed2) = seen
+        assert (seed1, seed2) == (11, 12)
+        assert first["train"]["steps"] == second["train"]["steps"] == 7
+        assert first["train"]["learning_rate"] == 2e-4
+        assert first["train"]["weight_decay"] == 3e-3
+        assert first["prompt_depth"] == 3
+        assert first["coupler"] == dict(cfg["coupler"], attn_heads=8, attn_dropout=0.3,
+                                        attn_ff_dim=128, layernorm_first=False)
+        assert second["train"]["learning_rate"] == 1e-4
+        assert second["prompt_depth"] == 1
+        assert second["coupler"] == dict(cfg["coupler"], unified_dim=64)
+        # trials never leak into the caller's config or into each other
+        assert cfg == runner.load_config(overrides=[("sweep.steps", "7")])
 
 
 class TestExitCodes:
@@ -172,6 +219,25 @@ class TestExitCodes:
         monkeypatch.setattr(runner, "run_training", boom)
         rc = cli.main(["train", *SMALL, "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_sweep_trial_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        """Only a diverged trial is a failed trial; any other error ends the sweep."""
+        calls = []
+
+        def second_call_fails(*a, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TypeError("unexpected keyword")
+            return SimpleNamespace(final_val_dice=0.5), 0.25, None, None
+
+        monkeypatch.setattr(runner, "run_training", second_call_fails)
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", *SMALL, "--set", "sweep.n_trials=3", "--out", str(out)])
+        assert rc == 2
+        assert len(calls) == 2
+        assert "unexpected keyword" in capsys.readouterr().err
+        lines = (out / "study.jsonl").read_text().splitlines()
+        assert [json.loads(ln)["status"] for ln in lines[1:]] == ["complete"]
 
 
 class TestTrainCommand:

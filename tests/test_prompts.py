@@ -94,10 +94,13 @@ class TestInit:
         assert np.array_equal(state.params["textual0"].data, table[ids][:4])
         assert np.abs(state.params["textual1"].data).max() < 0.2
 
-    def test_maple_requires_text_width(self, model):
-        with pytest.raises(ConfigError):
-            init_prompts("maple", B=4, J=1, backbone=model,
-                         coupler=CouplerConfig(unified_dim=16))
+    def test_maple_ignores_unified_dim(self, model):
+        """Maple's unified prompts are text-width whatever H_u says."""
+        a, b = (init_prompts("maple", B=4, J=2, backbone=model, seed=3,
+                             coupler=CouplerConfig(unified_dim=dim)) for dim in (16, 32))
+        assert list(a.params) == list(b.params)
+        for name, t in a.params.items():
+            assert t.data.tobytes() == b.params[name].data.tobytes(), name
 
     def test_attention_heads_divide(self, model):
         with pytest.raises(ConfigError):

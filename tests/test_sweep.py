@@ -28,6 +28,7 @@ from promptseg.sweep import (
     trial_seed,
 )
 from promptseg.tensor import ConfigError
+from promptseg.training import NonFiniteLossError
 
 
 def make_history(configs_and_scores):
@@ -217,7 +218,7 @@ class TestStudyPersistence:
         def flaky(cfg, seed):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("boom")
+                raise NonFiniteLossError("boom")
             v = quadratic_objective(cfg)
             return v, v
 
@@ -228,6 +229,24 @@ class TestStudyPersistence:
         assert statuses.count("complete") == 3
         failed = next(r for r in study.records if r.status == "failed")
         assert "boom" in failed.config["_error"]
+
+    def test_other_trial_error_ends_study_and_keeps_finished_trials(self, tmp_path):
+        calls = {"n": 0}
+
+        def broken(cfg, seed):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise RuntimeError("boom")
+            v = quadratic_objective(cfg)
+            return v, v
+
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(RuntimeError, match="boom"):
+            run_study("coop", default_search_space(), 5, broken, seed=2, out_path=path)
+        assert calls["n"] == 3
+        records = load_study(path).records
+        assert [r.trial_id for r in records] == [0, 1]
+        assert all(r.status == "complete" for r in records)
 
     def test_best_skips_non_finite_val_dice(self):
         study = StudyState("coop", 0, default_search_space(), records=[
