@@ -21,14 +21,14 @@ from .tensor import (
     ConfigError,
     ShapeError,
     Tensor,
+    attention,
     broadcast_to,
     concat,
     conv2d,
     layer_norm,
+    linear,
     matmul,
-    mul,
     relu,
-    softmax,
 )
 
 BOS_ID = 256
@@ -146,27 +146,15 @@ def multi_head_attention(
     dropout: float = 0.0,
     rng=None,
 ) -> Tensor:
-    """Bidirectional scaled dot-product attention over a [..., s, d] sequence."""
-    *lead, s, d = x.shape
-    if d % heads != 0:
-        raise ConfigError(f"{heads} heads do not divide width {d}")
-    dh = d // heads
-    n = len(lead)
-    swap = (*range(n), n + 1, n, n + 2)  # [..., s, heads, dh] <-> [..., heads, s, dh]
-
-    def split(t):
-        return t.reshape(*lead, s, heads, dh).transpose(swap)
-
-    q = split(matmul(x, wq) + bq)
-    k = split(matmul(x, wk) + bk)
-    v = split(matmul(x, wv) + bv)
-    att = softmax(matmul(q, k.transpose(*range(n + 1), n + 2, n + 1)) * (1.0 / np.sqrt(dh)),
-                  axis=-1)
+    """Bidirectional scaled dot-product attention over a [..., s, d] sequence;
+    with ``dropout`` and an ``rng``, a ``[..., heads, s, s]`` dropout mask is
+    drawn on the attention weights."""
+    *lead, s, _ = x.shape
+    mask = None
     if dropout > 0.0 and rng is not None:
-        mask = (rng.random(att.shape) >= dropout) / (1.0 - dropout)
-        att = mul(att, mask)
-    out = matmul(att, v).transpose(swap).reshape(*lead, s, d)
-    return matmul(out, wo) + bo
+        mask = (rng.random((*lead, heads, s, s)) >= dropout) / (1.0 - dropout)
+    out = attention(linear(x, wq, bq), linear(x, wk, bk), linear(x, wv, bv), heads, mask)
+    return linear(out, wo, bo)
 
 
 def transformer_block(
@@ -187,7 +175,7 @@ def transformer_block(
         )
 
     def ff(t):
-        return matmul(relu(matmul(t, p("ff.w1")) + p("ff.b1")), p("ff.w2")) + p("ff.b2")
+        return linear(relu(linear(t, p("ff.w1"), p("ff.b1"))), p("ff.w2"), p("ff.b2"))
 
     if layernorm_first:
         x = x + attn(layer_norm(x, p("ln1.g"), p("ln1.b")))
@@ -344,7 +332,7 @@ class Backbone:
 
         cfg = self.cfg
         patches = Tensor(self.patchify(image))
-        E = matmul(patches, self.params["vision.patch_proj"]) + self.params["vision.pos"][1:]
+        E = linear(patches, self.params["vision.patch_proj"], self.params["vision.pos"][1:])
         c0 = (self.params["vision.cls"] + self.params["vision.pos"][0]).reshape(
             1, cfg.vision_width
         )
@@ -374,16 +362,14 @@ class Backbone:
                 f"expected {cfg.n_patches} patch tokens of width {cfg.vision_width}, "
                 f"got {patch_tokens.shape}"
             )
-        cond = matmul(z_text.reshape(*lead, 1, cfg.joint_width), self.params["decoder.cond.w"])
-        cond = cond + self.params["decoder.cond.b"]
+        cond = linear(z_text.reshape(*lead, 1, cfg.joint_width), self.params["decoder.cond.w"],
+                      self.params["decoder.cond.b"])
         tokens = patch_tokens * (cond + 1.0)
         for i in range(cfg.decoder_layers):
             tokens = transformer_block(
                 self.params, f"decoder.layer{i}", tokens, cfg.vision_heads
             )
-        tiles = matmul(tokens, self.params["decoder.unembed.w"]) + self.params[
-            "decoder.unembed.b"
-        ]
+        tiles = linear(tokens, self.params["decoder.unembed.w"], self.params["decoder.unembed.b"])
         g, ps, S, n = cfg.grid, cfg.patch_size, cfg.image_size, len(lead)
         body = tiles.reshape(*lead, g, g, ps, ps).transpose(
             *range(n), n, n + 2, n + 1, n + 3).reshape(*lead, S, S)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .backbone import Backbone, init_block_params, join_tokens, transformer_block
-from .tensor import ConfigError, Tensor, layer_norm, matmul, relu
+from .tensor import ConfigError, Tensor, layer_norm, linear, matmul, relu
 
 INIT_PHRASE = "a photo of a"
 SIGMA = 0.02
@@ -194,7 +194,7 @@ def _couple_maple(state: PromptState, i: int, rng):
         w = matmul(p[f"coupler{i}.lora_a"], p[f"coupler{i}.lora_b"].transpose(1, 0))
     else:
         w = p[f"coupler{i}.w"]
-    return unified, matmul(unified, w) + p[f"coupler{i}.b"]
+    return unified, linear(unified, w, p[f"coupler{i}.b"])
 
 
 def _couple_shared_separate(state: PromptState, i: int, rng):
@@ -202,7 +202,7 @@ def _couple_shared_separate(state: PromptState, i: int, rng):
     out = []
     for branch in ("l", "v"):
         pre = f"coupler{i}.to_{branch}"
-        h = matmul(p[f"unified{i}"], p[f"{pre}.w"]) + p[f"{pre}.b"]
+        h = linear(p[f"unified{i}"], p[f"{pre}.w"], p[f"{pre}.b"])
         if state.coupler.use_layernorm:
             h = layer_norm(h, p[f"{pre}.ln.g"], p[f"{pre}.ln.b"])
         out.append(h)
@@ -217,8 +217,8 @@ def _couple_shared_attention(state: PromptState, i: int, rng):
         attn_dropout=c.attn_dropout,
         rng=rng,
     )
-    textual = matmul(h, p[f"coupler{i}.head_l.w"]) + p[f"coupler{i}.head_l.b"]
-    visual = matmul(h, p[f"coupler{i}.head_v.w"]) + p[f"coupler{i}.head_v.b"]
+    textual = linear(h, p[f"coupler{i}.head_l.w"], p[f"coupler{i}.head_l.b"])
+    visual = linear(h, p[f"coupler{i}.head_v.w"], p[f"coupler{i}.head_v.b"])
     return textual, visual
 
 
@@ -295,8 +295,8 @@ def cocoop_condition(state: PromptState, z_image: Tensor) -> list[Tensor]:
     if not state.strategy.image_conditioned:
         raise ConfigError(f"cocoop_condition requires a cocoop state, got {state.kind}")
     p = state.params
-    h = relu(matmul(z_image.reshape(*z_image.shape[:-1], 1, -1), p["meta.w1"]) + p["meta.b1"])
-    pi = matmul(h, p["meta.w2"]) + p["meta.b2"]  # [..., 1, H_l]
+    h = relu(linear(z_image.reshape(*z_image.shape[:-1], 1, -1), p["meta.w1"], p["meta.b1"]))
+    pi = linear(h, p["meta.w2"], p["meta.b2"])  # [..., 1, H_l]
     return [p[f"textual{i}"] + pi for i in range(state.J)]
 
 

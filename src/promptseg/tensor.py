@@ -5,6 +5,14 @@ built eagerly: every op records its parents and a closure that routes the
 incoming gradient to them.  `backward` walks the graph once in reverse
 topological order from a scalar root.  Tensors with ``requires_grad=False``
 never receive a gradient buffer, and no closure computes one for them.
+
+Python dispatch per node, not BLAS, is what a step costs, so the model's hot
+path runs on fused ops, one node each: ``linear`` (``x @ w + b``),
+``attention`` (head split, softmax(q kᵀ / √d_h), dropout mask, A·V and head
+merge), ``layer_norm``, ``conv2d`` and ``bce_with_logits``.  ``linear`` and
+``attention`` give the bits of the chains of elementary ops they stand for,
+and ``layer_norm`` those of numpy's ``mean`` and ``var``; the tests hold them
+to that.
 """
 
 from __future__ import annotations
@@ -55,8 +63,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh buffer, never an alias of g; adding 0.0 stores -0.0 as +0.0
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -300,16 +310,66 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    val = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(val, a.requires_grad, (a,))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x[..., k] @ w[k, n] + b`` as one node, ``w`` shared by every leading
+    index of ``x``; ``b`` broadcasts against the ``[..., n]`` product."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1]:
+        raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape}")
+    out = Tensor(x.data @ w.data + b.data,
+                 x.requires_grad or w.requires_grad or b.requires_grad, (x, w, b))
 
     def _bw(g):
-        dot = (g * val).sum(axis=axis, keepdims=True)
-        a._accumulate(val * (g - dot))
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            # one GEMM over the rows of every leading index
+            w._accumulate(x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+
+    out._backward = _bw
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask) -> Tensor:
+    """Bidirectional multi-head attention of ``[..., s, d]`` projections as one
+    node: split into heads, softmax(q kᵀ / √d_h) per head, times ``mask``
+    (``[..., heads, s, s]`` dropout scales, or ``None``), then A·V with the
+    heads merged back to ``[..., s, d]``."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    *lead, s, d = q.shape
+    if d % heads != 0:
+        raise ConfigError(f"{heads} heads do not divide width {d}")
+    n, dh = len(lead), d // heads
+    swap = (*range(n), n + 1, n, n + 2)  # [..., s, heads, dh] <-> [..., heads, s, dh]
+    qh, kh, vh = (t.data.reshape(*lead, s, heads, dh).transpose(swap) for t in (q, k, v))
+    scale = 1.0 / np.sqrt(dh)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    weights = att if mask is None else att * mask
+
+    def merge(t):
+        return t.transpose(swap).reshape(*lead, s, d)
+
+    out = Tensor(merge(weights @ vh), q.requires_grad or k.requires_grad or v.requires_grad,
+                 (q, k, v))
+
+    def _bw(g):
+        gh = g.reshape(*lead, s, heads, dh).transpose(swap)
+        if v.requires_grad:
+            v._accumulate(merge(weights.swapaxes(-1, -2) @ gh))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        datt = gh @ vh.swapaxes(-1, -2)
+        if mask is not None:
+            datt = datt * mask
+        dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q._accumulate(merge(dscores @ kh))
+        if k.requires_grad:
+            k._accumulate(merge((qh.swapaxes(-1, -2) @ dscores).swapaxes(-1, -2)))
 
     out._backward = _bw
     return out
@@ -323,10 +383,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError("layer_norm over an empty last axis")
     if eps <= 0:
         raise ConfigError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # numpy's mean and var arithmetic, without their Python-level wrappers
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (centred * centred).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out = Tensor(
         gamma.data * xhat + beta.data,
         x.requires_grad or gamma.requires_grad or beta.requires_grad,
@@ -344,8 +405,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dxhat = g * gamma.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / d
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         )
         x._accumulate(dx)
 

@@ -10,7 +10,8 @@ from promptseg.backbone import (
     TokenizationError,
     tokenize,
 )
-from promptseg.prompts import CouplerConfig, init_prompts
+from promptseg import runner
+from promptseg.prompts import KINDS, CouplerConfig, init_prompts
 from promptseg.tensor import ConfigError, ShapeError, Tensor
 
 
@@ -232,6 +233,35 @@ class TestForward:
             assert np.array_equal(logits, model.forward(img, t, state).data)
         with pytest.raises(ShapeError, match="3 images but 2 token arrays"):
             model.forward(images, toks[:2], state)
+
+
+def graph_nodes(root: Tensor) -> int:
+    """Tensors with parents that ``root`` is computed from, itself included."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        count += bool(t._parents)
+        stack.extend(t._parents)
+    return count
+
+
+class TestGraphSize:
+    """Python dispatch per node is what a step costs: a single-sample forward
+    at the default config stays a graph of fused ops (about 150-180 nodes,
+    where elementary ops alone built 330-400)."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_sample_forward_stays_small(self, kind):
+        cfg = runner.default_config()
+        cfg["strategy"] = kind
+        model = runner.build_backbone(cfg)
+        state = runner.build_state(cfg, model)
+        img = np.random.default_rng(13).random((3, 32, 32))
+        logits = model.forward(img, tokenize("a red circle", 16), state)
+        assert graph_nodes(logits) <= 200
 
 
 class TestFreezeBookkeeping:

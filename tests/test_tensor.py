@@ -8,17 +8,26 @@ from promptseg.tensor import (
     GradientError,
     ShapeError,
     Tensor,
+    attention,
     bce_with_logits,
     concat,
     conv2d,
     layer_norm,
+    linear,
     matmul,
+    mul,
     reduce_sum,
-    softmax,
 )
 from promptseg.backbone import multi_head_attention
 
-from helpers import finite_difference, max_rel_error
+from helpers import (
+    attention_chain,
+    finite_difference,
+    layer_norm_reference,
+    linear_chain,
+    max_rel_error,
+    softmax,
+)
 
 
 class TestMatmul:
@@ -48,6 +57,28 @@ class TestMatmul:
         fd_a, fd_b = finite_difference(forward, [a, b])
         assert max_rel_error(fd_a, a.grad) < 1e-6
         assert max_rel_error(fd_b, b.grad) < 1e-6
+
+
+class TestLinear:
+    @pytest.mark.parametrize("bias_shape", [(5,), (3, 5)], ids=["1d-bias", "2d-bias"])
+    def test_gradient_matches_finite_differences(self, bias_shape):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=bias_shape), requires_grad=True)
+        weights = rng.normal(size=(2, 3, 5))
+
+        def run():
+            return reduce_sum(linear(x, w, b) * weights)
+
+        run().backward()
+        params = [x, w, b]
+        for t, fd in zip(params, finite_difference(lambda: run().item(), params)):
+            assert max_rel_error(fd, t.grad) < 1e-6
+
+    def test_width_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(5, 6\)"):
+            linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 6))), Tensor(np.zeros(6)))
 
 
 class TestLayerNorm:
@@ -125,6 +156,116 @@ class TestAttention:
         loss.backward()
         for t, fd in zip(params, finite_difference(lambda: run().item(), params)):
             assert max_rel_error(fd, t.grad) < 1e-5
+
+
+def _qkv(rng, lead, s=3, d=8):
+    return [Tensor(rng.normal(size=(*lead, s, d)), requires_grad=True) for _ in range(3)]
+
+
+def _dropout_mask(rng, lead, heads, s=3, p=0.3):
+    return (rng.random((*lead, heads, s, s)) >= p) / (1.0 - p)
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["lead0", "lead1", "lead2"])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-mask", "mask"])
+    def test_gradient_matches_finite_differences(self, lead, heads, dropout):
+        rng = np.random.default_rng(30)
+        q, k, v = _qkv(rng, lead)
+        mask = _dropout_mask(rng, lead, heads) if dropout else None
+        weights = rng.normal(size=(*lead, 3, 8))
+
+        def run():
+            return reduce_sum(attention(q, k, v, heads, mask) * weights)
+
+        run().backward()
+        for t, fd in zip((q, k, v), finite_difference(lambda: run().item(), [q, k, v])):
+            assert max_rel_error(fd, t.grad) < 1e-5
+
+    @pytest.mark.parametrize("frozen", [0, 1, 2], ids=["q", "k", "v"])
+    def test_frozen_operand_gets_no_gradient(self, frozen):
+        rng = np.random.default_rng(31)
+        qkv = _qkv(rng, (2,))
+        qkv[frozen].requires_grad = False
+        mask = _dropout_mask(rng, (2,), 2)
+        weights = rng.normal(size=(2, 3, 8))
+
+        def run():
+            return reduce_sum(attention(*qkv, 2, mask) * weights)
+
+        run().backward()
+        assert qkv[frozen].grad is None
+        live = [t for t in qkv if t.requires_grad]
+        for t, fd in zip(live, finite_difference(lambda: run().item(), live)):
+            assert max_rel_error(fd, t.grad) < 1e-5
+
+    def test_heads_must_divide_width(self):
+        q, k, v = _qkv(np.random.default_rng(32), ())
+        with pytest.raises(ConfigError, match="3 heads do not divide width 8"):
+            attention(q, k, v, 3, None)
+
+
+class TestFusedMatchesChain:
+    """The fused ops give the bits of the node chains they replace, in the
+    values and in every gradient."""
+
+    @staticmethod
+    def _twins(arrays):
+        return ([Tensor(a.copy(), requires_grad=True) for a in arrays],
+                [Tensor(a.copy(), requires_grad=True) for a in arrays])
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["lead0", "lead1", "lead2"])
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-mask", "mask"])
+    def test_attention_block(self, lead, dropout):
+        rng = np.random.default_rng(33)
+        s, d, heads = 5, 12, 2  # 1/sqrt(6) is inexact: a reordered scaling shows
+        arrays = [rng.normal(size=(*lead, s, d))] + [
+            rng.normal(size=shape) for _ in range(4) for shape in ((d, d), (d,))]
+        mask = _dropout_mask(rng, lead, heads, s) if dropout else None
+        weights = rng.normal(size=(*lead, s, d))
+
+        def block(x, wq, bq, wk, bk, wv, bv, wo, bo, lin, att):
+            out = att(lin(x, wq, bq), lin(x, wk, bk), lin(x, wv, bv), heads, mask)
+            return reduce_sum(lin(out, wo, bo) * weights)
+
+        fused, chain = self._twins(arrays)
+        loss_fused = block(*fused, linear, attention)
+        loss_chain = block(*chain, linear_chain, attention_chain)
+        loss_fused.backward()
+        loss_chain.backward()
+        assert loss_fused.data.tobytes() == loss_chain.data.tobytes()
+        for f, c in zip(fused, chain):
+            assert f.grad.tobytes() == c.grad.tobytes()
+
+
+    def test_layer_norm_matches_numpy_mean_and_var(self):
+        rng = np.random.default_rng(34)
+        arrays = [rng.normal(size=(2, 5, 7)), rng.normal(size=7), rng.normal(size=7)]
+        weights = rng.normal(size=(2, 5, 7))
+        fused, chain = self._twins(arrays)
+        loss_fused = reduce_sum(layer_norm(*fused) * weights)
+        loss_chain = reduce_sum(layer_norm_reference(*chain) * weights)
+        loss_fused.backward()
+        loss_chain.backward()
+        assert loss_fused.data.tobytes() == loss_chain.data.tobytes()
+        for f, c in zip(fused, chain):
+            assert f.grad.tobytes() == c.grad.tobytes()
+
+
+class TestAccumulate:
+    def test_first_gradient_of_negative_zero_is_stored_as_positive_zero(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        reduce_sum(mul(x, -0.0)).backward()
+        assert np.array_equal(x.grad, [0.0, 0.0])
+        assert not np.signbit(x.grad).any()
+
+    def test_first_gradient_is_copied_not_aliased(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        g = np.array([1.0, -2.0, 3.0])
+        x._accumulate(g)
+        g[:] = 7.0
+        assert x.grad.tolist() == [1.0, -2.0, 3.0]
 
 
 class TestConv2d:
