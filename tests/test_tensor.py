@@ -207,13 +207,19 @@ class TestFusedAttention:
 
 
 class TestFusedMatchesChain:
-    """The fused ops give the bits of the node chains they replace, in the
+    """The fused ops give the bits of the node chains they stand for, in the
     values and in every gradient."""
 
     @staticmethod
-    def _twins(arrays):
-        return ([Tensor(a.copy(), requires_grad=True) for a in arrays],
-                [Tensor(a.copy(), requires_grad=True) for a in arrays])
+    def _assert_same_bits(arrays, fused_loss, chain_loss):
+        fused = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        chain = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        loss_fused, loss_chain = fused_loss(*fused), chain_loss(*chain)
+        loss_fused.backward()
+        loss_chain.backward()
+        assert loss_fused.data.tobytes() == loss_chain.data.tobytes()
+        for f, c in zip(fused, chain):
+            assert f.grad.tobytes() == c.grad.tobytes()
 
     @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["lead0", "lead1", "lead2"])
     @pytest.mark.parametrize("dropout", [False, True], ids=["no-mask", "mask"])
@@ -225,32 +231,22 @@ class TestFusedMatchesChain:
         mask = _dropout_mask(rng, lead, heads, s) if dropout else None
         weights = rng.normal(size=(*lead, s, d))
 
-        def block(x, wq, bq, wk, bk, wv, bv, wo, bo, lin, att):
-            out = att(lin(x, wq, bq), lin(x, wk, bk), lin(x, wv, bv), heads, mask)
-            return reduce_sum(lin(out, wo, bo) * weights)
+        def block(lin, att):
+            def loss(x, wq, bq, wk, bk, wv, bv, wo, bo):
+                out = att(lin(x, wq, bq), lin(x, wk, bk), lin(x, wv, bv), heads, mask)
+                return reduce_sum(lin(out, wo, bo) * weights)
+            return loss
 
-        fused, chain = self._twins(arrays)
-        loss_fused = block(*fused, linear, attention)
-        loss_chain = block(*chain, linear_chain, attention_chain)
-        loss_fused.backward()
-        loss_chain.backward()
-        assert loss_fused.data.tobytes() == loss_chain.data.tobytes()
-        for f, c in zip(fused, chain):
-            assert f.grad.tobytes() == c.grad.tobytes()
-
+        self._assert_same_bits(arrays, block(linear, attention),
+                               block(linear_chain, attention_chain))
 
     def test_layer_norm_matches_numpy_mean_and_var(self):
         rng = np.random.default_rng(34)
         arrays = [rng.normal(size=(2, 5, 7)), rng.normal(size=7), rng.normal(size=7)]
         weights = rng.normal(size=(2, 5, 7))
-        fused, chain = self._twins(arrays)
-        loss_fused = reduce_sum(layer_norm(*fused) * weights)
-        loss_chain = reduce_sum(layer_norm_reference(*chain) * weights)
-        loss_fused.backward()
-        loss_chain.backward()
-        assert loss_fused.data.tobytes() == loss_chain.data.tobytes()
-        for f, c in zip(fused, chain):
-            assert f.grad.tobytes() == c.grad.tobytes()
+        self._assert_same_bits(arrays,
+                               lambda *t: reduce_sum(layer_norm(*t) * weights),
+                               lambda *t: reduce_sum(layer_norm_reference(*t) * weights))
 
 
 class TestAccumulate:
