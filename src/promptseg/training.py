@@ -19,6 +19,8 @@ from .tensor import ShapeError, Tensor, bce_with_logits, power, reduce_sum, sigm
 THRESHOLD = 0.5
 # AdamW moment decay rates and denominator guard
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# samples per evaluation forward; its graph (the prompts require grad) sets peak memory
+EVAL_STACK = 4
 
 
 class FreezeViolationError(RuntimeError):
@@ -134,14 +136,27 @@ class AdamW:
 
 
 def evaluate(model: Backbone, state: PromptState | None, samples) -> float:
-    """Mean dice over samples at the ``THRESHOLD`` probability."""
+    """Mean dice over samples at the ``THRESHOLD`` probability.
+
+    Each phrase's samples are forwarded in stacks of at most ``EVAL_STACK``,
+    so a stack runs one text-encoder pass and holds a graph of bounded size.
+    """
     if not samples:
         return float("nan")
-    scores = []
-    for s in samples:
-        logits = model.forward(s.image, tokenize(s.phrase, model.cfg.max_text_len), state)
-        prob = 1.0 / (1.0 + np.exp(-logits.data))
-        scores.append(dice_score(prob > THRESHOLD, s.mask))
+    by_phrase: dict[str, list[int]] = {}
+    for i, s in enumerate(samples):
+        by_phrase.setdefault(s.phrase, []).append(i)
+    scores = np.empty(len(samples))
+    for phrase, idx in by_phrase.items():
+        tokens = tokenize(phrase, model.cfg.max_text_len)
+        for start in range(0, len(idx), EVAL_STACK):
+            stack = idx[start:start + EVAL_STACK]
+            # keep only the logits, so the stack's graph is freed before the next forward
+            logits = model.forward(np.stack([samples[i].image for i in stack]),
+                                   [tokens] * len(stack), state).data
+            prob = 1.0 / (1.0 + np.exp(-logits))
+            for i, p in zip(stack, prob):
+                scores[i] = dice_score(p > THRESHOLD, samples[i].mask)
     return float(np.mean(scores))
 
 

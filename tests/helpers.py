@@ -1,11 +1,13 @@
 """Shared test utilities: finite-difference oracles, small fixtures, and the
-composed references the fused tensor ops are checked against."""
+references the fused tensor ops and stacked evaluation are checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from promptseg.backbone import tokenize
 from promptseg.tensor import Tensor, as_tensor, matmul, mul
+from promptseg.training import THRESHOLD, dice_score
 
 
 def finite_difference(loss_fn, tensors, h: float = 1e-5):
@@ -96,3 +98,16 @@ def layer_norm_reference(x, gamma, beta, eps: float = 1e-5):
 
     out._backward = _bw
     return out
+
+
+def evaluate_per_sample(model, state, samples) -> float:
+    """``training.evaluate`` as one single-sample forward per sample, in split
+    order: the reference stacked evaluation is checked against."""
+    if not samples:
+        return float("nan")
+    scores = []
+    for s in samples:
+        logits = model.forward(s.image, tokenize(s.phrase, model.cfg.max_text_len), state)
+        prob = 1.0 / (1.0 + np.exp(-logits.data))
+        scores.append(dice_score(prob > THRESHOLD, s.mask))
+    return float(np.mean(scores))

@@ -9,6 +9,7 @@ from promptseg.dataio import SyntheticTaskSpec, generate_dataset
 from promptseg.prompts import KINDS, init_prompts, trainable_parameters
 from promptseg.tensor import ShapeError, Tensor, zero_grads
 from promptseg.training import (
+    EVAL_STACK,
     AdamW,
     FreezeViolationError,
     LossConfig,
@@ -21,7 +22,7 @@ from promptseg.training import (
     train,
 )
 
-from helpers import finite_difference, max_rel_error
+from helpers import evaluate_per_sample, finite_difference, max_rel_error
 
 BIG = 500.0  # saturates sigmoid exactly at 64-bit
 
@@ -386,3 +387,54 @@ def test_frozen_weights_marked_trainable_change_no_trainable_gradient(three_phra
             t.grad = None
     for a, b in zip(skipped, computed):
         assert a.tobytes() == b.tobytes()
+
+
+# -- stacked evaluation against the per-sample loop ----------------------------
+
+# phrases interleave, so grouping reorders, and every phrase ends in a partial stack
+INTERLEAVED = "ABACBAC"
+
+
+def _split(pattern: str):
+    """Samples whose phrases follow ``pattern``, one letter per phrase, drawn
+    without repeats from a pool of eight samples for each of three phrases."""
+    spec = SyntheticTaskSpec(n_classes=3, image_size=16,
+                             samples_per_split={"train": 24}, seed=5, align=4)
+    by_phrase: dict[str, list] = {}
+    for s in generate_dataset(spec)["train"]:
+        by_phrase.setdefault(s.phrase, []).append(s)
+    queues = {letter: iter(group) for letter, group in zip("ABC", by_phrase.values())}
+    return [next(queues[letter]) for letter in pattern]
+
+
+@pytest.mark.parametrize("kind", [*KINDS, None])
+def test_stacked_evaluate_matches_per_sample_loop(three_phrases, kind):
+    model, _ = three_phrases
+    samples = _split(INTERLEAVED)
+    state = None
+    if kind is not None:
+        state = _state(kind, model, 2, 7)
+        train(model, state, {"train": samples},
+              TrainRunConfig(steps=3, micro_batch=2, grad_accum=1, learning_rate=1e-2,
+                             seed=1, eval_every=10))
+    assert repr(evaluate(model, state, samples)) == repr(
+        evaluate_per_sample(model, state, samples))
+
+
+@pytest.mark.parametrize("pattern", [INTERLEAVED, "AABAAAACAA"])
+def test_evaluate_forwards_one_phrase_stacks_of_at_most_eval_stack(three_phrases, pattern,
+                                                                   monkeypatch):
+    model, _ = three_phrases
+    forward, stacks = model.forward, []
+
+    def recording(image, tokens, state=None, rng=None):
+        stacks.append((np.shape(image), {np.asarray(t).tobytes() for t in tokens}))
+        return forward(image, tokens, state, rng)
+
+    monkeypatch.setattr(model, "forward", recording)
+    evaluate(model, None, _split(pattern))
+    size = model.cfg.image_size
+    for shape, phrases in stacks:
+        assert len(shape) == 4 and shape[1:] == (3, size, size) and shape[0] <= EVAL_STACK
+        assert len(phrases) == 1
+    assert len(stacks) == sum(-(-pattern.count(c) // EVAL_STACK) for c in set(pattern))
