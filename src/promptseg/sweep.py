@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,7 @@ class Dim:
         return "all" in self.applies or strategy in self.applies
 
     def to_json(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "low": self.low,
-                "high": self.high, "choices": self.choices,
-                "applies": list(self.applies)}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "Dim":
@@ -98,14 +96,17 @@ class TrialRecord:
     wall_time: float = 0.0
 
     def to_json(self) -> dict:
-        return {"trial_id": self.trial_id, "config": self.config,
-                "val_dice": self.val_dice, "test_dice": self.test_dice,
-                "status": self.status, "seed": self.seed,
-                "wall_time": self.wall_time}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "TrialRecord":
         return cls(**d)
+
+
+def _scored(records: list[TrialRecord]) -> list[TrialRecord]:
+    """The trials that completed with a finite validation dice."""
+    return [t for t in records
+            if t.status == "complete" and t.val_dice is not None and np.isfinite(t.val_dice)]
 
 
 # -- sampling ----------------------------------------------------------------
@@ -181,9 +182,7 @@ def sample_trial(space: SearchSpace, strategy: str, history: list[TrialRecord],
                  rng) -> dict:
     """One sampled configuration containing exactly the applicable dimensions."""
     dims = space.dims_for(strategy)
-    complete = [t for t in history
-                if t.status == "complete" and t.val_dice is not None
-                and np.isfinite(t.val_dice)]
+    complete = _scored(history)
     if len(complete) < N_STARTUP:
         return {d.name: _uniform_draw(d, rng) for d in dims}
 
@@ -223,10 +222,7 @@ class StudyState:
 
     @property
     def best(self) -> TrialRecord | None:
-        complete = [t for t in self.records
-                    if t.status == "complete" and t.val_dice is not None
-                    and np.isfinite(t.val_dice)]
-        return max(complete, key=lambda t: t.val_dice, default=None)
+        return max(_scored(self.records), key=lambda t: t.val_dice, default=None)
 
 
 def save_study(path, study: StudyState) -> None:

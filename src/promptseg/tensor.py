@@ -9,10 +9,10 @@ never receive a gradient buffer, and no closure computes one for them.
 Python dispatch per node, not BLAS, is what a step costs, so the model's hot
 path runs on fused ops, one node each: ``linear`` (``x @ w + b``),
 ``attention`` (head split, softmax(q kᵀ / √d_h), dropout mask, A·V and head
-merge), ``layer_norm``, ``conv2d`` and ``bce_with_logits``.  ``linear`` and
-``attention`` give the bits of the chains of elementary ops they stand for,
-and ``layer_norm`` those of numpy's ``mean`` and ``var``; the tests hold them
-to that.
+merge), ``layer_norm`` and ``conv2d``.  ``linear`` and ``attention`` give the
+bits of the chains of elementary ops they stand for, and ``layer_norm`` those
+of numpy's ``mean`` and ``var``; the tests hold them to that.  The dice + BCE
+training loss is one node too, ``training.combined_loss``.
 """
 
 from __future__ import annotations
@@ -98,9 +98,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -183,29 +180,11 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data**p, a.requires_grad, (a,))
-    out._backward = lambda g: a._accumulate(g * p * a.data ** (p - 1))
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
     out = Tensor(np.where(mask, a.data, 0.0), a.requires_grad, (a,))
     out._backward = lambda g: a._accumulate(g * mask)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    val = np.where(
-        a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)),
-        np.exp(np.minimum(a.data, 0.0)) / (1.0 + np.exp(np.minimum(a.data, 0.0))),
-    )
-    out = Tensor(val, a.requires_grad, (a,))
-    out._backward = lambda g: a._accumulate(g * val * (1.0 - val))
     return out
 
 
@@ -266,18 +245,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
                 t._accumulate(piece)
-
-    out._backward = _bw
-    return out
-
-
-def reduce_sum(a: Tensor) -> Tensor:
-    """The sum of every element, as a scalar."""
-    a = as_tensor(a)
-    out = Tensor(a.data.sum(), a.requires_grad, (a,))
-
-    def _bw(g):
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
 
     out._backward = _bw
     return out
@@ -470,29 +437,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
         if padding:
             dxp = dxp[..., padding:-padding, padding:-padding]
         x._accumulate(dxp)
-
-    out._backward = _bw
-    return out
-
-
-# -- fused losses ------------------------------------------------------------
-
-
-def bce_with_logits(logits: Tensor, target: np.ndarray) -> Tensor:
-    """Mean binary cross entropy from raw logits, log-sum-exp stable."""
-    logits = as_tensor(logits)
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != logits.shape:
-        raise ShapeError(f"bce shape mismatch: {logits.shape} vs {t.shape}")
-    z = logits.data
-    # softplus(z) - z*t computed stably
-    loss = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor(loss.mean(), logits.requires_grad, (logits,))
-    n = z.size
-
-    def _bw(g):
-        p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-        logits._accumulate(g * (p - t) / n)
 
     out._backward = _bw
     return out

@@ -12,7 +12,7 @@ import numpy as np
 from . import checkpoint
 from .backbone import Backbone, tokenize
 from .prompts import PromptState, trainable_parameters
-from .tensor import ShapeError, Tensor, bce_with_logits, power, reduce_sum, sigmoid, zero_grads
+from .tensor import ShapeError, Tensor, zero_grads
 
 
 # probability above which a pixel counts as foreground when scoring dice
@@ -68,25 +68,57 @@ def _check_mask(logits: Tensor, mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def dice_loss(logits: Tensor, mask: np.ndarray, smooth: float = 1.0) -> Tensor:
+def _probability(z: np.ndarray) -> np.ndarray:
+    """The sigmoid of ``z``, from exp(-|z|) so that no logit overflows it."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _dice_parts(z: np.ndarray, mask: np.ndarray, smooth: float):
+    """The probabilities, and the numerator and denominator of the dice ratio."""
+    p = _probability(z)
+    num = (p * mask).sum() * 2.0 + smooth
+    den = (p * p).sum() + float((mask * mask).sum()) + smooth
+    return p, num, den
+
+
+def dice_loss(logits: Tensor, mask: np.ndarray, smooth: float = 1.0) -> np.float64:
     """Smoothed soft dice on sigmoid probabilities: 1 - (2*sum(p*g)+s)/(sum(p^2)+sum(g^2)+s)."""
-    mask = _check_mask(logits, mask)
-    p = sigmoid(logits)
-    num = reduce_sum(p * mask) * 2.0 + smooth
-    den = reduce_sum(p * p) + float((mask * mask).sum()) + smooth
-    return 1.0 - num * power(den, -1.0)
+    _, num, den = _dice_parts(logits.data, _check_mask(logits, mask), smooth)
+    return 1.0 - num * np.reciprocal(den)
 
 
-def bce_loss(logits: Tensor, mask: np.ndarray) -> Tensor:
+def bce_loss(logits: Tensor, mask: np.ndarray) -> np.float64:
     """Pixel-mean binary cross entropy in the numerically stable logit form."""
     mask = _check_mask(logits, mask)
-    return bce_with_logits(logits, mask)
+    z = logits.data
+    return (np.maximum(z, 0.0) - z * mask + np.log1p(np.exp(-np.abs(z)))).mean()
 
 
 def combined_loss(logits: Tensor, mask: np.ndarray, cfg: LossConfig) -> Tensor:
-    return dice_loss(logits, mask, cfg.smooth) * cfg.lambda_dice + bce_loss(
-        logits, mask
-    ) * cfg.lambda_ce
+    """``lambda_dice * dice_loss + lambda_ce * bce_loss`` as one graph node.
+
+    The backward redoes, in the same order, the arithmetic of the chain of
+    sigmoid, product, sum and power nodes the loss stands for, so the value
+    and the gradient have that chain's bits: ``np.reciprocal`` and
+    ``np.power`` are the array paths its ``den ** -1.0`` and ``den ** -2.0``
+    took.
+    """
+    mask = _check_mask(logits, mask)
+    out = Tensor(dice_loss(logits, mask, cfg.smooth) * cfg.lambda_dice
+                 + bce_loss(logits, mask) * cfg.lambda_ce, logits.requires_grad, (logits,))
+
+    def _bw(g):
+        p, num, den = _dice_parts(logits.data, mask, cfg.smooth)
+        g_ratio = g * cfg.lambda_dice * -1.0
+        g_den = g_ratio * num * -1.0 * np.power(den, -2.0)
+        g_p = g_ratio * np.reciprocal(den) * 2.0 * mask
+        g_p += g_den * p
+        g_p += g_den * p
+        logits._accumulate(g_p * p * (1.0 - p) + g * cfg.lambda_ce * (p - mask) / p.size)
+
+    out._backward = _bw
+    return out
 
 
 def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:
@@ -154,7 +186,7 @@ def evaluate(model: Backbone, state: PromptState | None, samples) -> float:
             # keep only the logits, so the stack's graph is freed before the next forward
             logits = model.forward(np.stack([samples[i].image for i in stack]),
                                    [tokens] * len(stack), state).data
-            prob = 1.0 / (1.0 + np.exp(-logits))
+            prob = _probability(logits)
             for i, p in zip(stack, prob):
                 scores[i] = dice_score(p > THRESHOLD, samples[i].mask)
     return float(np.mean(scores))
@@ -209,6 +241,8 @@ def train(model: Backbone, state: PromptState, dataset: dict,
             micro = micro * (1.0 / (len(batch) * run_cfg.grad_accum))
             micro.backward()
             step_loss += micro.item()
+            # free this micro-batch's graph before the next forward
+            del logits, micro
         if not np.isfinite(step_loss):
             raise NonFiniteLossError(f"non-finite loss {step_loss} at step {step}")
         opt.step()

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference oracles, small fixtures, and the
-references the fused tensor ops and stacked evaluation are checked against."""
+references the fused tensor ops, the loss node and stacked evaluation are
+checked against."""
 
 from __future__ import annotations
 
@@ -58,6 +59,14 @@ def softmax(a, axis: int = -1):
     return out
 
 
+def reduce_sum(a):
+    """The sum of every element, as a scalar node."""
+    a = as_tensor(a)
+    out = Tensor(a.data.sum(), a.requires_grad, (a,))
+    out._backward = lambda g: a._accumulate(np.broadcast_to(g, a.shape).copy())
+    return out
+
+
 def linear_chain(x, w, b):
     """``linear`` as the two nodes it stands for."""
     return matmul(x, w) + b
@@ -98,6 +107,51 @@ def layer_norm_reference(x, gamma, beta, eps: float = 1e-5):
 
     out._backward = _bw
     return out
+
+
+# -- the op chain the loss node stands for -----------------------------------
+
+
+def sigmoid(a):
+    a = as_tensor(a)
+    val = np.where(
+        a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)),
+        np.exp(np.minimum(a.data, 0.0)) / (1.0 + np.exp(np.minimum(a.data, 0.0))),
+    )
+    out = Tensor(val, a.requires_grad, (a,))
+    out._backward = lambda g: a._accumulate(g * val * (1.0 - val))
+    return out
+
+
+def power(a, p: float):
+    a = as_tensor(a)
+    out = Tensor(a.data**p, a.requires_grad, (a,))
+    out._backward = lambda g: a._accumulate(g * p * a.data ** (p - 1))
+    return out
+
+
+def bce_with_logits(logits, target):
+    """Mean binary cross entropy from raw logits as one node."""
+    z, n = logits.data, logits.data.size
+    loss = np.maximum(z, 0.0) - z * target + np.log1p(np.exp(-np.abs(z)))
+    out = Tensor(loss.mean(), logits.requires_grad, (logits,))
+
+    def _bw(g):
+        p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        logits._accumulate(g * (p - target) / n)
+
+    out._backward = _bw
+    return out
+
+
+def combined_loss_chain(logits, mask, cfg):
+    """``training.combined_loss`` as the 17 nodes it stands for.  At logits
+    beyond ±709 ``sigmoid`` and the BCE backward overflow in ``exp``."""
+    p = sigmoid(logits)
+    num = reduce_sum(p * mask) * 2.0 + cfg.smooth
+    den = reduce_sum(p * p) + float((mask * mask).sum()) + cfg.smooth
+    dice = num * power(den, -1.0) * -1.0 + 1.0
+    return dice * cfg.lambda_dice + bce_with_logits(logits, mask) * cfg.lambda_ce
 
 
 def evaluate_per_sample(model, state, samples) -> float:

@@ -13,7 +13,9 @@ from promptseg.prompts import (
     inject_visual,
     trainable_parameters,
 )
-from promptseg.tensor import ConfigError, Tensor, reduce_sum
+from promptseg.tensor import ConfigError, Tensor
+
+from helpers import reduce_sum
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
 
 from promptseg.tensor import (
     ConfigError,
@@ -9,14 +7,12 @@ from promptseg.tensor import (
     ShapeError,
     Tensor,
     attention,
-    bce_with_logits,
     concat,
     conv2d,
     layer_norm,
     linear,
     matmul,
     mul,
-    reduce_sum,
 )
 from promptseg.backbone import multi_head_attention
 
@@ -26,6 +22,7 @@ from helpers import (
     layer_norm_reference,
     linear_chain,
     max_rel_error,
+    reduce_sum,
     softmax,
 )
 
@@ -361,39 +358,3 @@ class TestConcatTake:
         reduce_sum(out[1:4] * 2.0).backward()
         assert np.array_equal(a.grad, [[0.0, 0.0], [2.0, 2.0]])
         assert np.array_equal(b.grad, [[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]])
-
-
-class TestBceFused:
-    def test_matches_reference_values(self):
-        logits = Tensor(np.zeros((2, 2)), requires_grad=True)
-        target = np.array([[1.0, 0.0], [1.0, 1.0]])
-        assert bce_with_logits(logits, target).item() == pytest.approx(np.log(2.0))
-
-    def test_gradient(self):
-        rng = np.random.default_rng(11)
-        logits = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        target = (rng.random((3, 3)) > 0.5).astype(float)
-
-        def run():
-            return bce_with_logits(logits, target)
-
-        run().backward()
-        (fd,) = finite_difference(lambda: run().item(), [logits])
-        assert max_rel_error(fd, logits.grad) < 1e-6
-
-
-@settings(max_examples=30, deadline=None)
-@given(hst.integers(0, 2**32 - 1), hst.integers(2, 5), hst.integers(2, 5))
-def test_elementwise_chain_gradient_property(seed, rows, cols):
-    rng = np.random.default_rng(seed)
-    from promptseg.tensor import power, sigmoid
-
-    x = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
-    w = rng.normal(size=(rows, cols))
-
-    def run():
-        return reduce_sum(sigmoid(x) * power(x * x + 1.0, -1.0) * w + x * 0.5)
-
-    run().backward()
-    (fd,) = finite_difference(lambda: run().item(), [x])
-    assert max_rel_error(fd, x.grad) < 1e-4

@@ -1,3 +1,6 @@
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from promptseg.training import (
     train,
 )
 
-from helpers import evaluate_per_sample, finite_difference, max_rel_error
+from helpers import combined_loss_chain, evaluate_per_sample, finite_difference, max_rel_error
 
 BIG = 500.0  # saturates sigmoid exactly at 64-bit
 
@@ -61,18 +64,6 @@ class TestDiceLoss:
         with pytest.raises(ShapeError):
             dice_loss(Tensor(np.zeros((2, 2))), np.zeros((3, 3)))
 
-    def test_gradient(self):
-        rng = np.random.default_rng(1)
-        logits = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        mask = (rng.random((3, 3)) > 0.5).astype(float)
-
-        def run():
-            return dice_loss(logits, mask)
-
-        run().backward()
-        (fd,) = finite_difference(lambda: run().item(), [logits])
-        assert max_rel_error(fd, logits.grad) < 1e-6
-
 
 class TestBceLoss:
     def test_uniform_logit(self):
@@ -85,18 +76,6 @@ class TestBceLoss:
         mask = np.array([1.0, 0.0, 1.0])
         logits = Tensor(np.array([20.0, -20.0, 20.0]))
         assert bce_loss(logits, mask).item() < 1e-8
-
-    def test_gradient(self):
-        rng = np.random.default_rng(2)
-        logits = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        mask = (rng.random((2, 5)) > 0.5).astype(float)
-
-        def run():
-            return bce_loss(logits, mask)
-
-        run().backward()
-        (fd,) = finite_difference(lambda: run().item(), [logits])
-        assert max_rel_error(fd, logits.grad) < 1e-6
 
 
 class TestCombinedLoss:
@@ -132,6 +111,65 @@ class TestCombinedLoss:
             logits = Tensor(rng.normal(size=(3, 3)) * 5)
             mask = (rng.random((3, 3)) > 0.5).astype(float)
             assert combined_loss(logits, mask, LossConfig()).item() >= 0.0
+
+    @pytest.mark.parametrize("lambdas", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.2)],
+                             ids=["dice", "bce", "defaults"])
+    def test_gradient_matches_finite_differences(self, lambdas):
+        rng = np.random.default_rng(1)
+        logits = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        mask = (rng.random((3, 3)) > 0.5).astype(float)
+        cfg = LossConfig(*lambdas)
+
+        combined_loss(logits, mask, cfg).backward()
+        (fd,) = finite_difference(lambda: combined_loss(logits, mask, cfg).item(), [logits])
+        assert max_rel_error(fd, logits.grad) < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1),
+           shape=hst.one_of(hst.tuples(hst.integers(1, 16)),
+                            hst.tuples(hst.integers(4, 32), hst.integers(4, 32))),
+           scale=hst.floats(0.1, 800.0),
+           lambdas=hst.sampled_from([(1.0, 0.2), (1.0, 0.0), (0.0, 1.0), (0.7, 1.3)]),
+           smooth=hst.sampled_from([1.0, 0.0, 1e-3]))
+    def test_value_and_gradient_bytes_match_the_op_chain(self, seed, shape, scale,
+                                                         lambdas, smooth):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(0.0, scale, shape)
+        mask = (rng.random(shape) > 0.5).astype(float)
+        cfg = LossConfig(*lambdas, smooth=smooth)
+        results = []
+        # the chain overflows in exp beyond ±709; with smooth 0, an empty mask
+        # and probabilities that are all 0.0 both sides divide by zero
+        with np.errstate(all="ignore"):
+            for loss_fn in (combined_loss, combined_loss_chain):
+                logits = Tensor(z, requires_grad=True)
+                # the upstream gradient of a loss in an accumulated micro-batch
+                loss = loss_fn(logits, mask, cfg) * (1.0 / 8)
+                loss.backward()
+                results.append((loss.data.tobytes(), logits.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_is_one_graph_node(self, monkeypatch):
+        logits = Tensor(np.zeros((4, 4)), requires_grad=True)
+        built = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        loss = combined_loss(logits, np.eye(4), LossConfig())
+        assert built == [loss]
+        assert loss._parents == (logits,)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_saturated_logits_do_not_overflow(self):
+        mask = np.array([[1.0, 0.0], [0.0, 1.0]])
+        logits = Tensor(np.array([[800.0, -800.0], [800.0, -800.0]]), requires_grad=True)
+        loss = combined_loss(logits, mask, LossConfig())
+        loss.backward()
+        assert np.isfinite(loss.item()) and np.all(np.isfinite(logits.grad))
 
 
 class TestDiceScore:
@@ -308,6 +346,37 @@ class TestTrainLoop:
     def test_evaluate_empty_returns_nan(self, tiny_run):
         model, _ = tiny_run
         assert np.isnan(evaluate(model, None, []))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evaluate_saturated_logits_do_not_overflow(self):
+        class Saturated:
+            cfg = BackboneConfig()
+
+            def forward(self, images, tokens, state=None, rng=None):
+                return Tensor(np.where(images[:, 0] > 0, 800.0, -800.0))
+
+        masks = [np.eye(4), np.ones((4, 4)), np.zeros((4, 4))]
+        samples = [SimpleNamespace(phrase="a cat", mask=m, image=np.stack([m - 0.5] * 3))
+                   for m in masks]
+        assert evaluate(Saturated(), None, samples) == 1.0
+
+    def test_micro_batch_graph_is_freed_before_the_next_forward(self, tiny_run,
+                                                                monkeypatch):
+        model, ds = tiny_run
+        state = init_prompts("maple", B=2, J=1, backbone=model, seed=2)
+        forward, trained = model.forward, []
+
+        def recording(image, tokens, state=None, rng=None):
+            assert all(ref() is None for ref in trained)
+            logits = forward(image, tokens, state, rng)
+            if rng is not None:
+                # a Tensor takes no weak reference; its buffer lives as long as it does
+                trained.append(weakref.ref(logits.data))
+            return logits
+
+        monkeypatch.setattr(model, "forward", recording)
+        train(model, state, ds, self._cfg(2))
+        assert len(trained) == 4
 
 
 # -- one graph per micro-batch against the per-sample loop ---------------------
