@@ -34,6 +34,7 @@ from .tensor import (
 BOS_ID = 256
 EOS_ID = 257
 VOCAB_SIZE = 258
+FF_MULTIPLIER = 2     # feed-forward width per model width
 
 
 class TokenizationError(ValueError):
@@ -60,12 +61,10 @@ class BackboneConfig:
     vision_layers: int = 4        # K_v
     decoder_layers: int = 2
     patch_size: int = 8
-    image_size: int = 64
+    image_size: int = 32
     max_text_len: int = 16
-    vocab_size: int = VOCAB_SIZE
     text_heads: int = 4
     vision_heads: int = 4
-    ff_multiplier: int = 2
     use_upsampler: bool = True
 
     def __post_init__(self):
@@ -197,11 +196,11 @@ class Backbone:
         p: dict[str, Tensor] = {}
         ps = cfg.patch_size
 
-        p["text.embed"] = Tensor(rng.normal(0.0, 0.02, (cfg.vocab_size, cfg.text_width)))
+        p["text.embed"] = Tensor(rng.normal(0.0, 0.02, (VOCAB_SIZE, cfg.text_width)))
         p["text.pos"] = Tensor(rng.normal(0.0, 0.01, (cfg.max_text_len, cfg.text_width)))
         for i in range(cfg.text_layers):
             init_block_params(p, f"text.layer{i}", cfg.text_width,
-                              cfg.ff_multiplier * cfg.text_width, rng)
+                              FF_MULTIPLIER * cfg.text_width, rng)
         p["text.proj"] = Tensor(_linear_init(rng, cfg.text_width, cfg.joint_width))
 
         p["vision.patch_proj"] = Tensor(_linear_init(rng, 3 * ps * ps, cfg.vision_width))
@@ -209,7 +208,7 @@ class Backbone:
         p["vision.cls"] = Tensor(rng.normal(0.0, 0.02, cfg.vision_width))
         for i in range(cfg.vision_layers):
             init_block_params(p, f"vision.layer{i}", cfg.vision_width,
-                              cfg.ff_multiplier * cfg.vision_width, rng)
+                              FF_MULTIPLIER * cfg.vision_width, rng)
         p["vision.proj"] = Tensor(_linear_init(rng, cfg.vision_width, cfg.joint_width))
 
         # The conditioning projection is drawn at a larger scale and the decoder
@@ -220,7 +219,7 @@ class Backbone:
         p["decoder.cond.b"] = Tensor(np.zeros(cfg.vision_width))
         for i in range(cfg.decoder_layers):
             init_block_params(p, f"decoder.layer{i}", cfg.vision_width,
-                              cfg.ff_multiplier * cfg.vision_width, rng)
+                              FF_MULTIPLIER * cfg.vision_width, rng)
             p[f"decoder.layer{i}.wo"].data *= 0.1
             p[f"decoder.layer{i}.ff.w2"].data *= 0.1
         # Unembedding rows share one direction per patch with small per-pixel

@@ -35,9 +35,9 @@ def _parse_set(pairs: list[str]) -> list[tuple[str, str]]:
 
 def _prepare(args) -> tuple[dict, Path]:
     overrides = _parse_set(args.set or [])
-    cfg = runner.load_config(args.config, overrides)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        overrides.append(("seed", str(args.seed)))
+    cfg = runner.load_config(args.config, overrides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # effective-config snapshot: every command is reproducible from this file
@@ -62,11 +62,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_space(cfg: dict, space) -> None:
+    """Fail before trial 0 unless every value the sweep may set passes the config check."""
+    for dim in space.dims_for(cfg["strategy"]):
+        for value in dim.choices or (dim.low, dim.high):
+            trial_cfg = copy.deepcopy(cfg)
+            runner.set_key(trial_cfg, runner.SWEEP_KEYS[dim.name], value)
+            try:
+                runner.check_config(trial_cfg)
+            except ConfigError as exc:
+                raise ConfigError(f"search space {dim.name}={value!r}: {exc}") from exc
+
+
 def cmd_sweep(args) -> int:
     cfg, out = _prepare(args)
+    space = runner.sweep_space(cfg)
+    _check_space(cfg, space)
     dataset = runner.get_dataset(cfg)
     study = sweep_mod.run_study(
-        cfg["strategy"], runner.sweep_space(cfg), cfg["sweep"]["n_trials"],
+        cfg["strategy"], space, cfg["sweep"]["n_trials"],
         runner.make_objective(cfg, dataset), seed=cfg["seed"],
         out_path=out / "study.jsonl",
     )

@@ -9,7 +9,7 @@ dependency-free.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,19 +50,19 @@ PALETTE = [
 
 @dataclass
 class SyntheticTaskSpec:
-    n_classes: int = 2
-    image_size: int = 32
-    samples_per_split: dict = field(
-        default_factory=lambda: {"train": 64, "val": 16, "test": 16}
-    )
-    seed: int = 0
-    align: int = 1     # snap shape geometry to this pixel grid
+    n_classes: int
+    image_size: int
+    samples_per_split: dict
+    seed: int
+    align: int         # snap shape geometry to this pixel grid
 
     def __post_init__(self):
         if not 2 <= self.n_classes <= len(PALETTE):
             raise ConfigError(
                 f"n_classes must be in [2, {len(PALETTE)}], got {self.n_classes}"
             )
+        if self.align > self.image_size:
+            raise ConfigError(f"align {self.align} exceeds image_size {self.image_size}")
 
 
 def _snap(value: int, align: int) -> int:

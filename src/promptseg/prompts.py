@@ -165,7 +165,7 @@ def _init_shared_attention(ini: _Init):
     c = ini.coupler
     H_u = c.unified_dim
     if H_u % c.attn_heads != 0:
-        raise ConfigError(f"{c.attn_heads} attention heads do not divide H_u={H_u}")
+        raise ConfigError(f"attn_heads {c.attn_heads} does not divide unified_dim {H_u}")
     for i in range(ini.J):
         yield f"unified{i}", ini.gauss(ini.B, H_u)
         block: dict[str, Tensor] = {}

@@ -1,9 +1,19 @@
-"""Config schema and experiment assembly shared by the CLI and the sweep."""
+"""Config schema and experiment assembly shared by the CLI and the sweep.
+
+The ``backbone``, ``coupler`` and ``train`` sections of ``DEFAULT_CONFIG`` are
+the defaults of the dataclasses they build, so each default is stated once.
+``load_config`` type-checks each value against its default, then
+``check_config`` checks every value before any work: each number is finite and
+positive unless ``_DOMAIN_EXCEPTIONS`` says otherwise, and the rules that tie
+keys together are those of the objects built from them.
+"""
 
 from __future__ import annotations
 
 import copy
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 from .backbone import Backbone, BackboneConfig, TokenizationError, tokenize
@@ -13,50 +23,25 @@ from .sweep import default_search_space
 from .tensor import ConfigError
 from .training import LossConfig, TrainRunConfig, evaluate, train
 
+
+def _defaults(cls, *skip: str) -> dict:
+    """The field defaults of dataclass ``cls`` by name, less ``skip``."""
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
 DEFAULT_CONFIG = {
-    "seed": 0,
+    "seed": TrainRunConfig.seed,
     "strategy": "vpt",
     "prompt_length": 4,
     "prompt_depth": 2,
     "init_mode": "gaussian",
-    "backbone": {
-        "text_width": 32,
-        "vision_width": 32,
-        "joint_width": 32,
-        "text_layers": 4,
-        "vision_layers": 4,
-        "decoder_layers": 2,
-        "patch_size": 8,
-        "image_size": 32,
-        "max_text_len": 16,
-        "text_heads": 4,
-        "vision_heads": 4,
-        "use_upsampler": True,
-    },
-    "coupler": {
-        "unified_dim": 32,
-        "use_lora": False,
-        "intermediate_dim": 32,
-        "attn_heads": 4,
-        "attn_dropout": 0.0,
-        "attn_ff_dim": 64,
-        "layernorm_first": True,
-    },
-    "train": {
-        "steps": 200,
-        "micro_batch": 4,
-        "grad_accum": 2,
-        "learning_rate": 1e-3,
-        "weight_decay": 1e-4,
-        "eval_every": 50,
-        "augment": False,
-        "smooth": 1.0,
-        "lambda_dice": 1.0,
-        "lambda_ce": 0.2,
-    },
+    "backbone": _defaults(BackboneConfig),
+    # use_layernorm has no key: only the shared-separate = maple equivalence turns it off
+    "coupler": _defaults(CouplerConfig, "use_layernorm"),
+    "train": {**_defaults(TrainRunConfig, "seed", "loss"), **_defaults(LossConfig)},
     "data": {
         "n_classes": 2,
-        "image_size": 32,
+        "image_size": BackboneConfig.image_size,
         "train": 64,
         "val": 16,
         "test": 16,
@@ -71,6 +56,15 @@ DEFAULT_CONFIG = {
     },
 }
 
+# Every number in the config must be finite and positive, except at these keys.
+_POSITIVE = ("positive", lambda v: v > 0)
+_DOMAIN_EXCEPTIONS = {
+    **dict.fromkeys(("seed", "data.seed", "train.weight_decay", "train.smooth",
+                     "train.lambda_dice", "train.lambda_ce"),
+                    ("at least 0", lambda v: v >= 0)),
+    "coupler.attn_dropout": ("in [0, 1)", lambda v: 0 <= v < 1),
+}
+
 
 def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
@@ -79,57 +73,54 @@ def default_config() -> dict:
 def load_config(path=None, overrides=None) -> dict:
     cfg = default_config()
     if path is not None:
-        user = json.loads(Path(path).read_text())
-        _merge(cfg, user, prefix="")
-    for key, raw in overrides or []:
-        apply_override(cfg, key, raw)
+        for key, value in _leaves(json.loads(Path(path).read_text()), ""):
+            set_key(cfg, key, value)
+    for key, raw in overrides or []:    # a raw value that is not JSON is a string
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        set_key(cfg, key, value)
+    check_config(cfg)
+    return cfg
+
+
+def _leaves(node: dict, prefix: str):
+    """(dotted key, value) for every key under ``node`` that is not a section."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def check_config(cfg: dict) -> None:
+    """Check every value against its domain, then the rules that tie keys
+    together; raises ``ConfigError`` naming the key."""
+    for key, value in _leaves(cfg, ""):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            what, ok = _DOMAIN_EXCEPTIONS.get(key, _POSITIVE)
+            if not ((isinstance(value, int) or math.isfinite(value)) and ok(value)):
+                raise ConfigError(f"config key {key!r} must be finite and {what}, "
+                                  f"got {value!r}")
     if cfg["strategy"] not in KINDS:
         raise ConfigError(f"unknown strategy {cfg['strategy']!r}")
     if cfg["backbone"]["image_size"] != cfg["data"]["image_size"]:
         raise ConfigError("backbone.image_size must equal data.image_size")
-    return cfg
+    _task_spec(cfg)
+    build_state(cfg, build_backbone(cfg))
 
 
-def _merge(cfg: dict, user: dict, prefix: str) -> None:
-    for key, value in user.items():
-        full = f"{prefix}{key}"
-        if key not in cfg:
-            raise ConfigError(f"unknown config key {full!r}")
-        if isinstance(cfg[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {full!r} expects an object")
-            _merge(cfg[key], value, prefix=f"{full}.")
-        else:
-            cfg[key] = _coerce(full, cfg[key], value)
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 def _coerce(key: str, default, value):
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"config key {key!r} expects a boolean, got {value!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ConfigError(f"config key {key!r} expects an integer, got {value!r}")
-    if isinstance(default, float):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigError(f"config key {key!r} expects a number, got {value!r}")
-    if isinstance(default, str):
-        if isinstance(value, str):
-            return value
-        raise ConfigError(f"config key {key!r} expects a string, got {value!r}")
+    if type(default) is float and type(value) is int:
+        value = float(value)
+    if type(value) is not type(default):
+        raise ConfigError(f"config key {key!r} expects {_TYPE_NAMES[type(default)]}, "
+                          f"got {value!r}")
     return value
-
-
-def apply_override(cfg: dict, dotted: str, raw: str) -> None:
-    """Apply one ``a.b.c=value`` CLI override, type-checked against the schema."""
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    set_key(cfg, dotted, value)
 
 
 def set_key(cfg: dict, dotted: str, value) -> None:
@@ -141,7 +132,7 @@ def set_key(cfg: dict, dotted: str, value) -> None:
             raise ConfigError(f"unknown config key {dotted!r}")
         node = node[part]
     leaf = parts[-1]
-    if leaf not in node:
+    if leaf not in node or isinstance(node[leaf], dict):
         raise ConfigError(f"unknown config key {dotted!r}")
     node[leaf] = _coerce(dotted, node[leaf], value)
 
@@ -181,31 +172,25 @@ def build_state(cfg: dict, backbone: Backbone, seed: int | None = None):
 
 
 def build_run_cfg(cfg: dict, seed: int | None = None) -> TrainRunConfig:
-    t = cfg["train"]
-    return TrainRunConfig(
-        steps=t["steps"],
-        micro_batch=t["micro_batch"],
-        grad_accum=t["grad_accum"],
-        learning_rate=t["learning_rate"],
-        weight_decay=t["weight_decay"],
-        seed=cfg["seed"] if seed is None else seed,
-        eval_every=t["eval_every"],
-        augment=t["augment"],
-        loss=LossConfig(lambda_dice=t["lambda_dice"], lambda_ce=t["lambda_ce"],
-                        smooth=t["smooth"]),
-    )
+    t = dict(cfg["train"])
+    loss = LossConfig(**{f.name: t.pop(f.name) for f in fields(LossConfig)})
+    return TrainRunConfig(**t, seed=cfg["seed"] if seed is None else seed, loss=loss)
 
 
-def synthetic_dataset(cfg: dict) -> dict:
-    """The synthetic task the ``data`` section describes."""
+def _task_spec(cfg: dict) -> SyntheticTaskSpec:
     d = cfg["data"]
-    return generate_dataset(SyntheticTaskSpec(
+    return SyntheticTaskSpec(
         n_classes=d["n_classes"],
         image_size=d["image_size"],
         samples_per_split={"train": d["train"], "val": d["val"], "test": d["test"]},
         seed=d["seed"],
         align=d["align"],
-    ))
+    )
+
+
+def synthetic_dataset(cfg: dict) -> dict:
+    """The synthetic task the ``data`` section describes."""
+    return generate_dataset(_task_spec(cfg))
 
 
 def get_dataset(cfg: dict) -> dict:

@@ -42,7 +42,7 @@ class LossConfig:
 class TrainRunConfig:
     steps: int = 200
     micro_batch: int = 4
-    grad_accum: int = 8          # effective batch = micro_batch * grad_accum
+    grad_accum: int = 2          # effective batch = micro_batch * grad_accum
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
     seed: int = 0

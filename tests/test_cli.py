@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from promptseg import cli, runner, sweep, training
+from promptseg.backbone import BackboneConfig
 from promptseg.checkpoint import load_arrays
-from promptseg.prompts import KINDS
+from promptseg.prompts import KINDS, CouplerConfig
 from promptseg.tensor import ConfigError
+from promptseg.training import TrainRunConfig
 
 SMALL = [
     "--set", "backbone.image_size=16",
@@ -63,6 +65,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             runner.load_config(path)
 
+    def test_a_section_is_set_key_by_key(self, tmp_path):
+        with pytest.raises(ConfigError, match="'train'"):
+            runner.load_config(overrides=[("train", '{"steps": 1}')])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": 5}))
+        with pytest.raises(ConfigError, match="'train'"):
+            runner.load_config(path)
+
+    def test_default_config_builds_the_dataclass_defaults(self):
+        cfg = runner.default_config()
+        backbone = runner.build_backbone(cfg)
+        assert backbone.cfg == BackboneConfig()
+        assert runner.build_state(cfg, backbone).coupler == CouplerConfig()
+        assert runner.build_run_cfg(cfg) == TrainRunConfig()
+
+    def test_domain_exceptions_accept_zero(self):
+        zero = ["seed", "data.seed", "train.weight_decay", "train.smooth",
+                "train.lambda_dice", "train.lambda_ce", "coupler.attn_dropout"]
+        cfg = runner.load_config(overrides=[(key, "0") for key in zero])
+        assert runner.build_run_cfg(cfg).loss.smooth == 0.0
+        assert cfg["coupler"]["attn_dropout"] == 0.0
+
+    def test_cross_key_rules_apply_only_to_the_strategy_that_uses_them(self):
+        heads = [("coupler.unified_dim", "12"), ("coupler.attn_heads", "8")]
+        assert runner.load_config(overrides=heads)["coupler"]["unified_dim"] == 12
+        with pytest.raises(ConfigError, match="attn_heads 8 does not divide unified_dim 12"):
+            runner.load_config(overrides=[*heads, ("strategy", "shared-attention")])
+        assert runner.load_config(overrides=[("strategy", "coop"),
+                                             ("prompt_depth", "9")])["prompt_depth"] == 9
+        with pytest.raises(ConfigError, match="prompt depth 9"):
+            runner.load_config(overrides=[("prompt_depth", "9")])
+
 
 class TestSweepTrials:
     def test_every_dimension_sets_a_config_key(self):
@@ -109,7 +143,70 @@ class TestSweepTrials:
         assert cfg == runner.load_config(overrides=[("sweep.steps", "7")])
 
 
+# a value outside its domain, and the key its error must name
+OUT_OF_DOMAIN = [
+    (["--set", "train.micro_batch=0"], "train.micro_batch"),
+    (["--set", "train.eval_every=0"], "train.eval_every"),
+    (["--set", "data.train=0"], "data.train"),
+    (["--set", "data.align=0"], "data.align"),
+    (["--set", "backbone.patch_size=0"], "backbone.patch_size"),
+    (["--set", "strategy=cocoop", "--set", "coupler.intermediate_dim=0"],
+     "coupler.intermediate_dim"),
+    (["--set", "seed=-1"], "seed"),
+    (["--set", "data.seed=-1"], "data.seed"),
+    (["--set", "strategy=shared-attention", "--set", "coupler.attn_dropout=1.0"],
+     "coupler.attn_dropout"),
+    (["--set", "train.weight_decay=Infinity"], "train.weight_decay"),
+    (["--set", "train.grad_accum=0"], "train.grad_accum"),
+    (["--set", "train.steps=-3"], "train.steps"),
+    (["--set", "train.learning_rate=-1"], "train.learning_rate"),
+    (["--set", "train.lambda_dice=-1"], "train.lambda_dice"),
+    (["--set", "sweep.n_trials=0"], "sweep.n_trials"),
+    (["--set", "data.align=40"], "align"),
+    (["--config", "{}/nan.json"], "train.learning_rate"),
+    (["--seed", "-1"], "seed"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("args, key", OUT_OF_DOMAIN,
+                             ids=[" ".join(args) for args, _ in OUT_OF_DOMAIN])
+    def test_value_outside_its_domain_exits_1_before_training(self, args, key, tmp_path,
+                                                              capsys, monkeypatch):
+        def no_training(*a, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(runner, "train", no_training)
+        (tmp_path / "nan.json").write_text('{"train": {"learning_rate": NaN}}')
+        args = [a.format(tmp_path) for a in args]
+        rc = cli.main(["train", *SMALL, "--set", "train.steps=2", *args,
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert f"'{key}'" in err or f"{key} " in err
+
+    @pytest.mark.parametrize("args", [
+        ["--set", "sweep.depth_max=5"],
+        ["--set", "strategy=shared-attention", "--set", "coupler.unified_dim=12"],
+    ], ids=["depth_max", "unified_dim"])
+    def test_search_space_that_does_not_fit_exits_1_before_trial_0(self, args, tmp_path,
+                                                                    capsys):
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", *SMALL, "--set", "sweep.n_trials=3",
+                       "--set", "sweep.steps=1", *args, "--out", str(out)])
+        assert rc == 1
+        assert "search space" in capsys.readouterr().err
+        assert not (out / "study.jsonl").exists()
+
+    def test_search_space_check_leaves_a_resumed_study_untouched(self, tmp_path):
+        sweep = ["sweep", *SMALL, "--set", "strategy=shared-attention",
+                 "--set", "sweep.steps=1", "--out", str(tmp_path / "o")]
+        assert cli.main([*sweep, "--set", "sweep.n_trials=1"]) == 0
+        before = (tmp_path / "o" / "study.jsonl").read_bytes()
+        assert cli.main([*sweep, "--set", "sweep.n_trials=4",
+                         "--set", "coupler.unified_dim=12"]) == 1
+        assert (tmp_path / "o" / "study.jsonl").read_bytes() == before
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(tmp_path / "absent.json"),
                        "--out", str(tmp_path / "o")])

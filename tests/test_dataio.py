@@ -43,6 +43,13 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             default_spec(n_classes=len(PALETTE) + 1)
 
+    def test_align_at_most_image_size(self):
+        with pytest.raises(ConfigError, match="align 33 exceeds image_size 32"):
+            default_spec(align=33)
+        for split in generate_dataset(default_spec(align=32)).values():
+            for s in split:
+                assert s.mask.shape == (32, 32)
+
     def test_deterministic(self):
         a = generate_dataset(default_spec())
         b = generate_dataset(default_spec())
