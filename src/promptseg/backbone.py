@@ -27,7 +27,6 @@ from .tensor import (
     conv2d,
     layer_norm,
     linear,
-    matmul,
     relu,
 )
 
@@ -135,27 +134,6 @@ def join_tokens(parts: list[Tensor]) -> Tensor:
                    for t in parts], axis=-2)
 
 
-def multi_head_attention(
-    x: Tensor,
-    wq: Tensor, bq: Tensor,
-    wk: Tensor, bk: Tensor,
-    wv: Tensor, bv: Tensor,
-    wo: Tensor, bo: Tensor,
-    heads: int,
-    dropout: float = 0.0,
-    rng=None,
-) -> Tensor:
-    """Bidirectional scaled dot-product attention over a [..., s, d] sequence;
-    with ``dropout`` and an ``rng``, a ``[..., heads, s, s]`` dropout mask is
-    drawn on the attention weights."""
-    *lead, s, _ = x.shape
-    mask = None
-    if dropout > 0.0 and rng is not None:
-        mask = (rng.random((*lead, heads, s, s)) >= dropout) / (1.0 - dropout)
-    out = attention(linear(x, wq, bq), linear(x, wk, bk), linear(x, wv, bv), heads, mask)
-    return linear(out, wo, bo)
-
-
 def transformer_block(
     params: dict,
     prefix: str,
@@ -165,13 +143,20 @@ def transformer_block(
     attn_dropout: float = 0.0,
     rng=None,
 ) -> Tensor:
+    """One block of bidirectional multi-head attention and a feed-forward
+    layer over a ``[..., s, d]`` sequence; with ``attn_dropout`` and an
+    ``rng``, a ``[..., heads, s, s]`` dropout mask is drawn on the attention
+    weights."""
     p = lambda n: params[f"{prefix}.{n}"]
 
     def attn(t):
-        return multi_head_attention(
-            t, p("wq"), p("bq"), p("wk"), p("bk"), p("wv"), p("bv"),
-            p("wo"), p("bo"), heads, dropout=attn_dropout, rng=rng,
-        )
+        *lead, s, _ = t.shape
+        mask = None
+        if attn_dropout > 0.0 and rng is not None:
+            mask = (rng.random((*lead, heads, s, s)) >= attn_dropout) / (1.0 - attn_dropout)
+        out = attention(linear(t, p("wq"), p("bq")), linear(t, p("wk"), p("bk")),
+                        linear(t, p("wv"), p("bv")), heads, mask)
+        return linear(out, p("wo"), p("bo"))
 
     def ff(t):
         return linear(relu(linear(t, p("ff.w1"), p("ff.b1"))), p("ff.w2"), p("ff.b2"))
@@ -302,7 +287,7 @@ class Backbone:
             if record_trace:
                 trace.append(seq)
         final_eos = eos + B
-        z = matmul(seq[..., final_eos : final_eos + 1, :], self.params["text.proj"]).reshape(
+        z = linear(seq[..., final_eos : final_eos + 1, :], self.params["text.proj"]).reshape(
             *seq.shape[:-2], cfg.joint_width
         )
         return TextEncoding(z=z, final_seq=seq, eos_index=final_eos, trace=trace)
@@ -344,7 +329,7 @@ class Backbone:
             seq = transformer_block(self.params, f"vision.layer{i}", seq, cfg.vision_heads)
             if record_trace:
                 trace.append(seq)
-        z = matmul(seq[..., 0:1, :], self.params["vision.proj"]).reshape(
+        z = linear(seq[..., 0:1, :], self.params["vision.proj"]).reshape(
             *seq.shape[:-2], cfg.joint_width)
         patch_tokens = seq[..., 1:body_len, :]
         return ImageEncoding(z=z, patch_tokens=patch_tokens, trace=trace)
@@ -387,21 +372,20 @@ class Backbone:
     def forward(self, image: np.ndarray, tokens, state=None, rng=None) -> Tensor:
         """Full text-conditioned segmentation pass; ``state`` carries prompts.
 
-        ``image`` [3, S, S] with one token array gives [S, S] logits; a stack
-        [N, 3, S, S] with N token arrays gives [N, S, S], from one prompt build
-        and one text-encoder pass per distinct phrase.
+        A stack [N, 3, S, S] with N token arrays gives [N, S, S] logits, from
+        one prompt build and one text-encoder pass per distinct phrase; one
+        image [3, S, S] with its token array runs as a stack of one.
         """
         from . import prompts
 
+        single = np.ndim(image) == 3
+        if single:
+            image, tokens = np.asarray(image)[None], [tokens]
         textual, visual = prompts.build_prompts(state, rng=rng)
         img_enc = self.encode_image(image, visual_prompts=visual)
-        conditioned = state is not None and state.strategy.image_conditioned
-        if np.ndim(image) == 3:
-            if conditioned:
-                textual = prompts.cocoop_condition(state, img_enc.z)
-            return self.decode(img_enc.patch_tokens, self.encode_text(tokens, textual).z)
         if len(tokens) != len(image):
             raise ShapeError(f"{len(image)} images but {len(tokens)} token arrays")
+        conditioned = state is not None and state.strategy.image_conditioned
         groups: dict[bytes, list[int]] = {}
         for i, t in enumerate(tokens):
             groups.setdefault(np.asarray(t).tobytes(), []).append(i)
@@ -414,4 +398,5 @@ class Backbone:
             rows.append(z if conditioned else z.reshape(1, -1))
             row_of[idx] = n_rows + np.arange(len(idx)) if conditioned else n_rows
             n_rows += rows[-1].shape[0]
-        return self.decode(img_enc.patch_tokens, concat(rows, axis=0)[row_of])
+        logits = self.decode(img_enc.patch_tokens, concat(rows, axis=0)[row_of])
+        return logits.reshape(logits.shape[1:]) if single else logits

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .backbone import Backbone, init_block_params, join_tokens, transformer_block
-from .tensor import ConfigError, Tensor, layer_norm, linear, matmul, relu
+from .backbone import Backbone, _linear_init, init_block_params, join_tokens, transformer_block
+from .tensor import ConfigError, Tensor, layer_norm, linear, relu
 
 INIT_PHRASE = "a photo of a"
 SIGMA = 0.02
@@ -101,7 +101,7 @@ class _Init:
         return self.rng.normal(0.0, SIGMA, shape)
 
     def linear(self, din: int, dout: int) -> np.ndarray:
-        return self.rng.normal(0.0, 1.0 / np.sqrt(din), (din, dout))
+        return _linear_init(self.rng, din, dout)
 
     def text_prompt(self, depth: int) -> np.ndarray:
         """[B, H_l]; under photo-of-a init the depth-0 prompt is the embedded
@@ -191,7 +191,7 @@ def _couple_maple(state: PromptState, i: int, rng):
     p = state.params
     unified = p[f"unified{i}"]
     if state.coupler.use_lora:
-        w = matmul(p[f"coupler{i}.lora_a"], p[f"coupler{i}.lora_b"].transpose(1, 0))
+        w = linear(p[f"coupler{i}.lora_a"], p[f"coupler{i}.lora_b"].transpose(1, 0))
     else:
         w = p[f"coupler{i}.w"]
     return unified, linear(unified, w, p[f"coupler{i}.b"])

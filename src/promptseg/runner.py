@@ -4,8 +4,9 @@ The ``backbone``, ``coupler`` and ``train`` sections of ``DEFAULT_CONFIG`` are
 the defaults of the dataclasses they build, so each default is stated once.
 ``load_config`` type-checks each value against its default, then
 ``check_config`` checks every value before any work: each number is finite and
-positive unless ``_DOMAIN_EXCEPTIONS`` says otherwise, and the rules that tie
-keys together are those of the objects built from them.
+positive unless ``_DOMAIN_EXCEPTIONS`` says otherwise, the two loss weights
+are not both 0, and the other rules that tie keys together are those of the
+objects built from them.
 """
 
 from __future__ import annotations
@@ -73,7 +74,13 @@ def default_config() -> dict:
 def load_config(path=None, overrides=None) -> dict:
     cfg = default_config()
     if path is not None:
-        for key, value in _leaves(json.loads(Path(path).read_text()), ""):
+        try:
+            node = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(node, dict):
+            raise ConfigError(f"config file {path} holds a {type(node).__name__}, not an object")
+        for key, value in _leaves(node, ""):
             set_key(cfg, key, value)
     for key, raw in overrides or []:    # a raw value that is not JSON is a string
         try:
@@ -103,6 +110,8 @@ def check_config(cfg: dict) -> None:
             if not ((isinstance(value, int) or math.isfinite(value)) and ok(value)):
                 raise ConfigError(f"config key {key!r} must be finite and {what}, "
                                   f"got {value!r}")
+    if cfg["train"]["lambda_dice"] == 0 and cfg["train"]["lambda_ce"] == 0:
+        raise ConfigError("config keys 'train.lambda_dice' and 'train.lambda_ce' are both 0")
     if cfg["strategy"] not in KINDS:
         raise ConfigError(f"unknown strategy {cfg['strategy']!r}")
     if cfg["backbone"]["image_size"] != cfg["data"]["image_size"]:

@@ -7,12 +7,13 @@ topological order from a scalar root.  Tensors with ``requires_grad=False``
 never receive a gradient buffer, and no closure computes one for them.
 
 Python dispatch per node, not BLAS, is what a step costs, so the model's hot
-path runs on fused ops, one node each: ``linear`` (``x @ w + b``),
-``attention`` (head split, softmax(q kᵀ / √d_h), dropout mask, A·V and head
-merge), ``layer_norm`` and ``conv2d``.  ``linear`` and ``attention`` give the
-bits of the chains of elementary ops they stand for, and ``layer_norm`` those
-of numpy's ``mean`` and ``var``; the tests hold them to that.  The dice + BCE
-training loss is one node too, ``training.combined_loss``.
+path runs on fused ops, one node each: ``linear`` (``x @ w [+ b]``, the one
+matrix product), ``attention`` (head split, softmax(q kᵀ / √d_h), dropout
+mask, A·V and head merge), ``layer_norm`` and ``conv2d``.  ``linear`` and
+``attention`` give the bits of the chains of elementary ops they stand for,
+and ``layer_norm`` those of numpy's ``mean`` and ``var``; the tests hold them
+to that.  The dice + BCE training loss is one node too,
+``training.combined_loss``.
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
 
@@ -115,7 +113,7 @@ class Tensor:
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        return transpose(self, axes if axes else None)
+        return transpose(self, axes)
 
 
 def as_tensor(x) -> Tensor:
@@ -198,13 +196,10 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return out
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data.transpose(axes), a.requires_grad, (a,))
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
+    inv = tuple(np.argsort(axes))
     out._backward = lambda g: a._accumulate(g.transpose(inv))
     return out
 
@@ -253,38 +248,18 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a[..., m, k] @ b[..., k, n]`` with equal leading axes, or a 2-D ``b``
-    shared by every leading index of ``a``."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul expects >=2-d operands, got {a.shape} x {b.shape}")
-    shared = b.data.ndim == 2
-    if a.shape[-1] != b.shape[-2] or not (shared or a.shape[:-2] == b.shape[:-2]):
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b))
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad and shared:
-            # one GEMM over the rows of every leading index
-            b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        elif b.requires_grad:
-            b._accumulate(a.data.swapaxes(-1, -2) @ g)
-
-    out._backward = _bw
-    return out
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x[..., k] @ w[k, n] + b`` as one node, ``w`` shared by every leading
-    index of ``x``; ``b`` broadcasts against the ``[..., n]`` product."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x[..., k] @ w[k, n]`` as one node, ``w`` shared by every leading index
+    of ``x``, plus ``b`` if given, broadcast against the ``[..., n]`` product."""
+    x, w = as_tensor(x), as_tensor(w)
     if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1]:
         raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape}")
-    out = Tensor(x.data @ w.data + b.data,
-                 x.requires_grad or w.requires_grad or b.requires_grad, (x, w, b))
+    val = x.data @ w.data
+    if b is not None:
+        b = as_tensor(b)
+        val = val + b.data
+    out = Tensor(val, x.requires_grad or w.requires_grad or (b is not None and b.requires_grad),
+                 (x, w) if b is None else (x, w, b))
 
     def _bw(g):
         if x.requires_grad:
@@ -292,7 +267,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             # one GEMM over the rows of every leading index
             w._accumulate(x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
     out._backward = _bw

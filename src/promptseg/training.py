@@ -170,25 +170,22 @@ class AdamW:
 def evaluate(model: Backbone, state: PromptState | None, samples) -> float:
     """Mean dice over samples at the ``THRESHOLD`` probability.
 
-    Each phrase's samples are forwarded in stacks of at most ``EVAL_STACK``,
-    so a stack runs one text-encoder pass and holds a graph of bounded size.
+    The samples, sorted by phrase, are forwarded in stacks of at most
+    ``EVAL_STACK``, so each phrase fills one run of stacks, a stack runs one
+    text-encoder pass per phrase in it, and its graph stays of bounded size.
     """
     if not samples:
         return float("nan")
-    by_phrase: dict[str, list[int]] = {}
-    for i, s in enumerate(samples):
-        by_phrase.setdefault(s.phrase, []).append(i)
+    order = sorted(range(len(samples)), key=lambda i: samples[i].phrase)
     scores = np.empty(len(samples))
-    for phrase, idx in by_phrase.items():
-        tokens = tokenize(phrase, model.cfg.max_text_len)
-        for start in range(0, len(idx), EVAL_STACK):
-            stack = idx[start:start + EVAL_STACK]
-            # keep only the logits, so the stack's graph is freed before the next forward
-            logits = model.forward(np.stack([samples[i].image for i in stack]),
-                                   [tokens] * len(stack), state).data
-            prob = _probability(logits)
-            for i, p in zip(stack, prob):
-                scores[i] = dice_score(p > THRESHOLD, samples[i].mask)
+    for start in range(0, len(order), EVAL_STACK):
+        stack = order[start:start + EVAL_STACK]
+        # keep only the logits, so the stack's graph is freed before the next forward
+        logits = model.forward(np.stack([samples[i].image for i in stack]),
+                               [tokenize(samples[i].phrase, model.cfg.max_text_len)
+                                for i in stack], state).data
+        for i, p in zip(stack, _probability(logits)):
+            scores[i] = dice_score(p > THRESHOLD, samples[i].mask)
     return float(np.mean(scores))
 
 
@@ -208,13 +205,6 @@ def train(model: Backbone, state: PromptState, dataset: dict,
 
     train_samples = list(dataset["train"])
     val_samples = list(dataset.get("val", []))
-    token_cache: dict[str, np.ndarray] = {}
-
-    def tok(phrase: str) -> np.ndarray:
-        if phrase not in token_cache:
-            token_cache[phrase] = tokenize(phrase, model.cfg.max_text_len)
-        return token_cache[phrase]
-
     order: list[int] = []
 
     def next_sample():
@@ -234,7 +224,8 @@ def train(model: Backbone, state: PromptState, dataset: dict,
                 batch = [augment_sample(s, rng) for s in batch]
             # one graph for the micro-batch: logits [N, S, S]
             logits = model.forward(np.stack([s.image for s in batch]),
-                                   [tok(s.phrase) for s in batch], state, rng=rng)
+                                   [tokenize(s.phrase, model.cfg.max_text_len) for s in batch],
+                                   state, rng=rng)
             micro = combined_loss(logits[0], batch[0].mask, loss_cfg)
             for i in range(1, len(batch)):
                 micro = micro + combined_loss(logits[i], batch[i].mask, loss_cfg)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from promptseg.backbone import tokenize
-from promptseg.tensor import Tensor, as_tensor, matmul, mul
+from promptseg.tensor import ShapeError, Tensor, as_tensor, mul
 from promptseg.training import THRESHOLD, dice_score
 
 
@@ -64,6 +64,31 @@ def reduce_sum(a):
     a = as_tensor(a)
     out = Tensor(a.data.sum(), a.requires_grad, (a,))
     out._backward = lambda g: a._accumulate(np.broadcast_to(g, a.shape).copy())
+    return out
+
+
+def matmul(a, b):
+    """``a[..., m, k] @ b[..., k, n]`` with equal leading axes, or a 2-D ``b``
+    shared by every leading index of ``a``, as one node: the reference
+    ``linear`` and ``attention`` are checked against."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul expects >=2-d operands, got {a.shape} x {b.shape}")
+    shared = b.data.ndim == 2
+    if a.shape[-1] != b.shape[-2] or not (shared or a.shape[:-2] == b.shape[:-2]):
+        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b))
+
+    def _bw(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad and shared:
+            # one GEMM over the rows of every leading index
+            b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        elif b.requires_grad:
+            b._accumulate(a.data.swapaxes(-1, -2) @ g)
+
+    out._backward = _bw
     return out
 
 

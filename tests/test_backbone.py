@@ -250,7 +250,7 @@ def graph_nodes(root: Tensor) -> int:
 
 class TestGraphSize:
     """Python dispatch per node is what a step costs: a single-sample forward
-    at the default config stays a graph of fused ops (about 150-180 nodes,
+    at the default config stays a graph of fused ops (about 150-190 nodes,
     where elementary ops alone built 330-400)."""
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -82,10 +82,14 @@ class TestConfig:
 
     def test_domain_exceptions_accept_zero(self):
         zero = ["seed", "data.seed", "train.weight_decay", "train.smooth",
-                "train.lambda_dice", "train.lambda_ce", "coupler.attn_dropout"]
-        cfg = runner.load_config(overrides=[(key, "0") for key in zero])
-        assert runner.build_run_cfg(cfg).loss.smooth == 0.0
-        assert cfg["coupler"]["attn_dropout"] == 0.0
+                "coupler.attn_dropout"]
+        # each loss weight may be 0, but not both: the loss would be identically 0
+        for weight in ("train.lambda_dice", "train.lambda_ce"):
+            cfg = runner.load_config(overrides=[(key, "0") for key in (*zero, weight)])
+            assert runner.build_run_cfg(cfg).loss.smooth == 0.0
+            assert cfg["coupler"]["attn_dropout"] == 0.0
+            section, _, leaf = weight.partition(".")
+            assert cfg[section][leaf] == 0.0
 
     def test_cross_key_rules_apply_only_to_the_strategy_that_uses_them(self):
         heads = [("coupler.unified_dim", "12"), ("coupler.attn_heads", "8")]
@@ -212,6 +216,28 @@ class TestExitCodes:
                        "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"train": {"steps": 2,}}', "[1]"],
+                             ids=["not-json", "not-an-object"])
+    def test_config_file_that_is_not_a_json_object_exits_1(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert str(path) in err
+
+    def test_loss_with_both_weights_at_zero_exits_1_before_training(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        def no_training(*a, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(runner, "train", no_training)
+        rc = cli.main(["train", *SMALL, "--set", "train.lambda_dice=0",
+                       "--set", "train.lambda_ce=0", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert "'train.lambda_dice'" in err and "'train.lambda_ce'" in err
 
     def test_bad_set_pair(self, tmp_path, capsys):
         rc = cli.main(["train", "--set", "oops", "--out", str(tmp_path / "o")])

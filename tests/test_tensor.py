@@ -11,16 +11,15 @@ from promptseg.tensor import (
     conv2d,
     layer_norm,
     linear,
-    matmul,
     mul,
 )
-from promptseg.backbone import multi_head_attention
 
 from helpers import (
     attention_chain,
     finite_difference,
     layer_norm_reference,
     linear_chain,
+    matmul,
     max_rel_error,
     reduce_sum,
     softmax,
@@ -28,18 +27,20 @@ from helpers import (
 
 
 class TestMatmul:
+    """``linear`` without a bias: the plain matrix product."""
+
     def test_identity(self):
         eye = Tensor([[1.0, 0.0], [0.0, 1.0]])
         b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(matmul(eye, b).data, b.data)
+        assert np.array_equal(linear(eye, b).data, b.data)
 
     def test_dot_product(self):
-        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = linear(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert out.data.tolist() == [[11.0]]
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -47,9 +48,9 @@ class TestMatmul:
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
         def forward():
-            return reduce_sum(matmul(a, b)).item()
+            return reduce_sum(linear(a, b)).item()
 
-        loss = reduce_sum(matmul(a, b))
+        loss = reduce_sum(linear(a, b))
         loss.backward()
         fd_a, fd_b = finite_difference(forward, [a, b])
         assert max_rel_error(fd_a, a.grad) < 1e-6
@@ -57,19 +58,21 @@ class TestMatmul:
 
 
 class TestLinear:
-    @pytest.mark.parametrize("bias_shape", [(5,), (3, 5)], ids=["1d-bias", "2d-bias"])
+    @pytest.mark.parametrize("bias_shape", [None, (5,), (3, 5)],
+                             ids=["no-bias", "1d-bias", "2d-bias"])
     def test_gradient_matches_finite_differences(self, bias_shape):
         rng = np.random.default_rng(20)
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=bias_shape), requires_grad=True)
+        params = [x, w]
+        if bias_shape is not None:
+            params.append(Tensor(rng.normal(size=bias_shape), requires_grad=True))
         weights = rng.normal(size=(2, 3, 5))
 
         def run():
-            return reduce_sum(linear(x, w, b) * weights)
+            return reduce_sum(linear(*params) * weights)
 
         run().backward()
-        params = [x, w, b]
         for t, fd in zip(params, finite_difference(lambda: run().item(), params)):
             assert max_rel_error(fd, t.grad) < 1e-6
 
@@ -114,12 +117,21 @@ class TestAttention:
         bs = [Tensor(rng.normal(size=d) * 0.1, requires_grad=True) for _ in range(4)]
         return ts, bs
 
+    @staticmethod
+    def _attend(x, params, heads):
+        """Attention over the query, key and value projections of ``x``, then
+        the output projection."""
+        (wq, wk, wv, wo), (bq, bk, bv, bo) = params
+        out = attention(linear(x, wq, bq), linear(x, wk, bk), linear(x, wv, bv), heads, None)
+        return linear(out, wo, bo)
+
     def test_single_token_reduces_to_value_path(self):
         rng = np.random.default_rng(2)
         d = 6
-        (wq, wk, wv, wo), (bq, bk, bv, bo) = self._params(d, rng)
+        params = self._params(d, rng)
+        (_, _, wv, wo), (_, _, bv, bo) = params
         x = Tensor(rng.normal(size=(1, d)))
-        out = multi_head_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads=2)
+        out = self._attend(x, params, heads=2)
         expected = (x.data @ wv.data + bv.data) @ wo.data + bo.data
         assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -130,28 +142,24 @@ class TestAttention:
 
     def test_head_divisibility_enforced(self):
         rng = np.random.default_rng(4)
-        (wq, wk, wv, wo), (bq, bk, bv, bo) = self._params(6, rng)
         with pytest.raises(ConfigError):
-            multi_head_attention(Tensor(np.zeros((2, 6))), wq, bq, wk, bk, wv, bv,
-                                 wo, bo, heads=4)
+            self._attend(Tensor(np.zeros((2, 6))), self._params(6, rng), heads=4)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         s, d = 3, 8
-        (wq, wk, wv, wo), (bq, bk, bv, bo) = self._params(d, rng)
+        params = self._params(d, rng)
+        (wq, wk, wv, wo), _ = params
         x = Tensor(rng.normal(size=(s, d)), requires_grad=True)
         weights = rng.normal(size=(s, d))
-        params = [x, wq, wk, wv, wo]
+        checked = [x, wq, wk, wv, wo]
 
         def run():
-            return reduce_sum(
-                multi_head_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads=2)
-                * weights
-            )
+            return reduce_sum(self._attend(x, params, heads=2) * weights)
 
         loss = run()
         loss.backward()
-        for t, fd in zip(params, finite_difference(lambda: run().item(), params)):
+        for t, fd in zip(checked, finite_difference(lambda: run().item(), checked)):
             assert max_rel_error(fd, t.grad) < 1e-5
 
 
@@ -236,6 +244,19 @@ class TestFusedMatchesChain:
 
         self._assert_same_bits(arrays, block(linear, attention),
                                block(linear_chain, attention_chain))
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["lead0", "lead1", "lead2"])
+    @pytest.mark.parametrize("bias_shape", [None, (4,), (3, 4)],
+                             ids=["no-bias", "1d-bias", "2d-bias"])
+    def test_linear(self, lead, bias_shape):
+        rng = np.random.default_rng(35)
+        arrays = [rng.normal(size=(*lead, 3, 5)), rng.normal(size=(5, 4))]
+        if bias_shape is not None:
+            arrays.append(rng.normal(size=bias_shape))
+        weights = rng.normal(size=(*lead, 3, 4))
+        chain = matmul if bias_shape is None else linear_chain
+        self._assert_same_bits(arrays, lambda *t: reduce_sum(linear(*t) * weights),
+                               lambda *t: reduce_sum(chain(*t) * weights))
 
     def test_layer_norm_matches_numpy_mean_and_var(self):
         rng = np.random.default_rng(34)
@@ -325,7 +346,7 @@ class TestBackward:
         frozen = Tensor(rng.normal(size=(3, 3)))
         before = frozen.data.copy()
         x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        reduce_sum(matmul(x, frozen)).backward()
+        reduce_sum(linear(x, frozen)).backward()
         assert frozen.data.tobytes() == before.tobytes()
 
     def test_shared_node_accumulates_once_per_use(self):
@@ -339,7 +360,7 @@ class TestBackward:
             rng = np.random.default_rng(seed)
             a = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
             b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-            loss = reduce_sum(softmax(matmul(a, b)) * rng.normal(size=(4, 4)))
+            loss = reduce_sum(softmax(linear(a, b)) * rng.normal(size=(4, 4)))
             loss.backward()
             return loss.item(), a.grad.copy(), b.grad.copy()
 

@@ -491,19 +491,24 @@ def test_stacked_evaluate_matches_per_sample_loop(three_phrases, kind):
 
 
 @pytest.mark.parametrize("pattern", [INTERLEAVED, "AABAAAACAA"])
-def test_evaluate_forwards_one_phrase_stacks_of_at_most_eval_stack(three_phrases, pattern,
-                                                                   monkeypatch):
+def test_evaluate_forwards_phrase_sorted_stacks_of_at_most_eval_stack(three_phrases, pattern,
+                                                                      monkeypatch):
     model, _ = three_phrases
     forward, stacks = model.forward, []
 
     def recording(image, tokens, state=None, rng=None):
-        stacks.append((np.shape(image), {np.asarray(t).tobytes() for t in tokens}))
+        stacks.append((np.shape(image), [np.asarray(t).tobytes() for t in tokens]))
         return forward(image, tokens, state, rng)
 
     monkeypatch.setattr(model, "forward", recording)
     evaluate(model, None, _split(pattern))
     size = model.cfg.image_size
-    for shape, phrases in stacks:
+    for shape, _ in stacks:
         assert len(shape) == 4 and shape[1:] == (3, size, size) and shape[0] <= EVAL_STACK
-        assert len(phrases) == 1
-    assert len(stacks) == sum(-(-pattern.count(c) // EVAL_STACK) for c in set(pattern))
+    assert len(stacks) == -(-len(pattern) // EVAL_STACK)
+    # read in forward order, each phrase's samples are one run, so each phrase
+    # lies in one contiguous run of stacks
+    runs = [phrase for _, phrases in stacks for phrase in phrases]
+    assert len(runs) == len(pattern)
+    starts = [p for k, p in enumerate(runs) if k == 0 or runs[k - 1] != p]
+    assert len(starts) == len(set(runs)) == len(set(pattern))
