@@ -18,16 +18,17 @@ import numpy as np
 
 from . import checkpoint
 from .tensor import (
+    LN_EPS,
     ConfigError,
     ShapeError,
     Tensor,
-    attention,
+    _layer_norm_arrays,
+    _layer_norm_grads,
+    _linear_weight_grads,
     broadcast_to,
     concat,
     conv2d,
-    layer_norm,
     linear,
-    relu,
 )
 
 BOS_ID = 256
@@ -106,24 +107,20 @@ def _linear_init(rng, din, dout):
     return rng.normal(0.0, 1.0 / np.sqrt(din), size=(din, dout))
 
 
+# one transformer block's parameters, in the order they are drawn and stored
+BLOCK_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                "ln1.g", "ln1.b", "ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
+
+
 def init_block_params(params: dict, prefix: str, d: int, ff: int, rng) -> None:
-    """Allocate one transformer block's parameters under ``prefix``."""
-    params[f"{prefix}.wq"] = Tensor(_linear_init(rng, d, d))
-    params[f"{prefix}.bq"] = Tensor(np.zeros(d))
-    params[f"{prefix}.wk"] = Tensor(_linear_init(rng, d, d))
-    params[f"{prefix}.bk"] = Tensor(np.zeros(d))
-    params[f"{prefix}.wv"] = Tensor(_linear_init(rng, d, d))
-    params[f"{prefix}.bv"] = Tensor(np.zeros(d))
-    params[f"{prefix}.wo"] = Tensor(_linear_init(rng, d, d))
-    params[f"{prefix}.bo"] = Tensor(np.zeros(d))
-    params[f"{prefix}.ln1.g"] = Tensor(np.ones(d))
-    params[f"{prefix}.ln1.b"] = Tensor(np.zeros(d))
-    params[f"{prefix}.ln2.g"] = Tensor(np.ones(d))
-    params[f"{prefix}.ln2.b"] = Tensor(np.zeros(d))
-    params[f"{prefix}.ff.w1"] = Tensor(_linear_init(rng, d, ff))
-    params[f"{prefix}.ff.b1"] = Tensor(np.zeros(ff))
-    params[f"{prefix}.ff.w2"] = Tensor(_linear_init(rng, ff, d))
-    params[f"{prefix}.ff.b2"] = Tensor(np.zeros(d))
+    """Allocate one transformer block's parameters under ``prefix``: the
+    weights random, the layer-norm gains one, every bias and shift zero."""
+    dims = {"ff.w1": (d, ff), "ff.b1": ff, "ff.w2": (ff, d)}
+    for name in BLOCK_PARAMS:
+        kind = name.split(".")[-1][0]  # w(eight), g(ain), or b(ias or shift)
+        params[f"{prefix}.{name}"] = Tensor(
+            _linear_init(rng, *dims.get(name, (d, d))) if kind == "w"
+            else np.full(dims.get(name, d), float(kind == "g")))
 
 
 def join_tokens(parts: list[Tensor]) -> Tensor:
@@ -134,40 +131,101 @@ def join_tokens(parts: list[Tensor]) -> Tensor:
                    for t in parts], axis=-2)
 
 
-def transformer_block(
-    params: dict,
-    prefix: str,
-    x: Tensor,
-    heads: int,
-    layernorm_first: bool = True,
-    attn_dropout: float = 0.0,
-    rng=None,
-) -> Tensor:
-    """One block of bidirectional multi-head attention and a feed-forward
-    layer over a ``[..., s, d]`` sequence; with ``attn_dropout`` and an
-    ``rng``, a ``[..., heads, s, s]`` dropout mask is drawn on the attention
-    weights."""
-    p = lambda n: params[f"{prefix}.{n}"]
+def _fresh(g: np.ndarray) -> np.ndarray:
+    """``g`` as ``Tensor._accumulate`` first stores it, a new C-contiguous buffer."""
+    return np.add(g, 0.0, out=np.empty(g.shape))
 
+
+def _summed(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts of one gradient, summed in order as ``Tensor._accumulate`` does."""
+    return sum(parts[1:], _fresh(parts[0]))
+
+
+def transformer_block(params: dict, prefix: str, x: Tensor, heads: int,
+                      layernorm_first: bool = True, attn_dropout: float = 0.0,
+                      rng=None) -> Tensor:
+    """One block of bidirectional multi-head attention and a feed-forward
+    layer over a ``[..., s, d]`` sequence, as one graph node; with
+    ``attn_dropout`` and an ``rng``, a ``[..., heads, s, s]`` dropout mask is
+    drawn on the attention weights.  Value and gradients have the bits of the
+    chain of ``layer_norm``, ``linear``, ``relu`` and add nodes it stands for:
+    each gradient between two of them is a fresh buffer, and the parts of one
+    are summed in the chain's order.  Weights that do not require grad get no
+    gradient computed; if nothing requires grad, the output has no graph."""
+    *lead, s, d = x.shape
+    if d % heads != 0:
+        raise ConfigError(f"{heads} heads do not divide width {d}")
+    ws = [params[f"{prefix}.{n}"] for n in BLOCK_PARAMS]
+    wq, bq, wk, bk, wv, bv, wo, bo, g1, c1, g2, c2, w1, b1, w2, b2 = ws
+    mask = (None if attn_dropout <= 0.0 or rng is None else
+            (rng.random((*lead, heads, s, s)) >= attn_dropout) / (1.0 - attn_dropout))
+    n, dh = len(lead), d // heads
+    swap = (*range(n), n + 1, n, n + 2)  # [..., s, heads, dh] <-> [..., heads, s, dh]
+    split = lambda t: t.reshape(*lead, s, heads, dh).transpose(swap)
+    merge = lambda t: t.transpose(swap).reshape(*lead, s, d)
+    scale = 1.0 / np.sqrt(dh)
+
+    def lin_bw(g, t, w, b):  # t @ w + b's input gradient, after its weights'
+        _linear_weight_grads(g, t, w, b)
+        return g @ w.data.T
+
+    # a sub-layer gives its value and a map from its gradient to its input's parts
     def attn(t):
-        *lead, s, _ = t.shape
-        mask = None
-        if attn_dropout > 0.0 and rng is not None:
-            mask = (rng.random((*lead, heads, s, s)) >= attn_dropout) / (1.0 - attn_dropout)
-        out = attention(linear(t, p("wq"), p("bq")), linear(t, p("wk"), p("bk")),
-                        linear(t, p("wv"), p("bv")), heads, mask)
-        return linear(out, p("wo"), p("bo"))
+        qh, kh, vh = (split(t @ w.data + b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+        scores = (qh @ kh.swapaxes(-1, -2)) * scale
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        att = e / e.sum(axis=-1, keepdims=True)
+        weighted = att if mask is None else att * mask
+        a = merge(weighted @ vh)
+
+        def bw(g):
+            gh = split(_fresh(lin_bw(g, a, wo, bo)))
+            datt = gh @ vh.swapaxes(-1, -2)
+            if mask is not None:
+                datt = datt * mask
+            dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * scale
+            per_head = (dscores @ kh, (qh.swapaxes(-1, -2) @ dscores).swapaxes(-1, -2),
+                        weighted.swapaxes(-1, -2) @ gh)
+            return [lin_bw(_fresh(merge(dt)), t, w, b)
+                    for dt, w, b in zip(per_head, (wq, wk, wv), (bq, bk, bv))]
+
+        return a @ wo.data + bo.data, bw
 
     def ff(t):
-        return linear(relu(linear(t, p("ff.w1"), p("ff.b1"))), p("ff.w2"), p("ff.b2"))
+        f1 = t @ w1.data + b1.data
+        relu_mask = f1 > 0
+        r = np.where(relu_mask, f1, 0.0)
+        bw = lambda g: [lin_bw(_fresh(_fresh(lin_bw(g, r, w2, b2)) * relu_mask), t, w1, b1)]
+        return r @ w2.data + b2.data, bw
 
-    if layernorm_first:
-        x = x + attn(layer_norm(x, p("ln1.g"), p("ln1.b")))
-        x = x + ff(layer_norm(x, p("ln2.g"), p("ln2.b")))
-    else:
-        x = layer_norm(x + attn(x), p("ln1.g"), p("ln1.b"))
-        x = layer_norm(x + ff(x), p("ln2.g"), p("ln2.b"))
-    return x
+    def residual(t, layer, gamma, beta):
+        """``t + layer(ln(t))`` pre-norm, ``ln(t + layer(t))`` post-norm."""
+        if layernorm_first:
+            normed, *stats = _layer_norm_arrays(t, gamma.data, beta.data, LN_EPS)
+            y, layer_bw = layer(normed)
+            return t + y, lambda g: [g, _layer_norm_grads(
+                _summed(layer_bw(_fresh(g))), gamma, beta, *stats, True)]
+        y, layer_bw = layer(t)
+        val, *stats = _layer_norm_arrays(t + y, gamma.data, beta.data, LN_EPS)
+
+        def bw(g):
+            dsum = _fresh(_layer_norm_grads(g, gamma, beta, *stats, True))
+            return [dsum, *layer_bw(_fresh(dsum))]
+
+        return val, bw
+
+    h, attn_bw = residual(x.data, attn, g1, c1)
+    val, ff_bw = residual(h, ff, g2, c2)
+    if not (x.requires_grad or any(w.requires_grad for w in ws)):
+        return Tensor(val)
+    out = Tensor(val, True, (x, *ws))
+
+    def _bw(g):
+        for part in attn_bw(_summed(ff_bw(g))):
+            x._accumulate(part)
+
+    out._backward = _bw
+    return out
 
 
 class Backbone:
@@ -180,20 +238,19 @@ class Backbone:
         rng = np.random.default_rng(seed)
         p: dict[str, Tensor] = {}
         ps = cfg.patch_size
+        block = lambda prefix, d: init_block_params(p, prefix, d, FF_MULTIPLIER * d, rng)
 
         p["text.embed"] = Tensor(rng.normal(0.0, 0.02, (VOCAB_SIZE, cfg.text_width)))
         p["text.pos"] = Tensor(rng.normal(0.0, 0.01, (cfg.max_text_len, cfg.text_width)))
         for i in range(cfg.text_layers):
-            init_block_params(p, f"text.layer{i}", cfg.text_width,
-                              FF_MULTIPLIER * cfg.text_width, rng)
+            block(f"text.layer{i}", cfg.text_width)
         p["text.proj"] = Tensor(_linear_init(rng, cfg.text_width, cfg.joint_width))
 
         p["vision.patch_proj"] = Tensor(_linear_init(rng, 3 * ps * ps, cfg.vision_width))
         p["vision.pos"] = Tensor(rng.normal(0.0, 0.01, (1 + cfg.n_patches, cfg.vision_width)))
         p["vision.cls"] = Tensor(rng.normal(0.0, 0.02, cfg.vision_width))
         for i in range(cfg.vision_layers):
-            init_block_params(p, f"vision.layer{i}", cfg.vision_width,
-                              FF_MULTIPLIER * cfg.vision_width, rng)
+            block(f"vision.layer{i}", cfg.vision_width)
         p["vision.proj"] = Tensor(_linear_init(rng, cfg.vision_width, cfg.joint_width))
 
         # The conditioning projection is drawn at a larger scale and the decoder
@@ -203,8 +260,7 @@ class Backbone:
         p["decoder.cond.w"] = Tensor(3.0 * _linear_init(rng, cfg.joint_width, cfg.vision_width))
         p["decoder.cond.b"] = Tensor(np.zeros(cfg.vision_width))
         for i in range(cfg.decoder_layers):
-            init_block_params(p, f"decoder.layer{i}", cfg.vision_width,
-                              FF_MULTIPLIER * cfg.vision_width, rng)
+            block(f"decoder.layer{i}", cfg.vision_width)
             p[f"decoder.layer{i}.wo"].data *= 0.1
             p[f"decoder.layer{i}.ff.w2"].data *= 0.1
         # Unembedding rows share one direction per patch with small per-pixel
@@ -350,9 +406,7 @@ class Backbone:
                       self.params["decoder.cond.b"])
         tokens = patch_tokens * (cond + 1.0)
         for i in range(cfg.decoder_layers):
-            tokens = transformer_block(
-                self.params, f"decoder.layer{i}", tokens, cfg.vision_heads
-            )
+            tokens = transformer_block(self.params, f"decoder.layer{i}", tokens, cfg.vision_heads)
         tiles = linear(tokens, self.params["decoder.unembed.w"], self.params["decoder.unembed.b"])
         g, ps, S, n = cfg.grid, cfg.patch_size, cfg.image_size, len(lead)
         body = tiles.reshape(*lead, g, g, ps, ps).transpose(

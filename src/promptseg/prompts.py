@@ -211,12 +211,8 @@ def _couple_shared_separate(state: PromptState, i: int, rng):
 
 def _couple_shared_attention(state: PromptState, i: int, rng):
     p, c = state.params, state.coupler
-    h = transformer_block(
-        p, f"coupler{i}.block", p[f"unified{i}"], c.attn_heads,
-        layernorm_first=c.layernorm_first,
-        attn_dropout=c.attn_dropout,
-        rng=rng,
-    )
+    h = transformer_block(p, f"coupler{i}.block", p[f"unified{i}"], c.attn_heads,
+                          layernorm_first=c.layernorm_first, attn_dropout=c.attn_dropout, rng=rng)
     textual = linear(h, p[f"coupler{i}.head_l.w"], p[f"coupler{i}.head_l.b"])
     visual = linear(h, p[f"coupler{i}.head_v.w"], p[f"coupler{i}.head_v.b"])
     return textual, visual

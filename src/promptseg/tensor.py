@@ -8,11 +8,11 @@ never receive a gradient buffer, and no closure computes one for them.
 
 Python dispatch per node, not BLAS, is what a step costs, so the model's hot
 path runs on fused ops, one node each: ``linear`` (``x @ w [+ b]``, the one
-matrix product), ``attention`` (head split, softmax(q kᵀ / √d_h), dropout
-mask, A·V and head merge), ``layer_norm`` and ``conv2d``.  ``linear`` and
-``attention`` give the bits of the chains of elementary ops they stand for,
-and ``layer_norm`` those of numpy's ``mean`` and ``var``; the tests hold them
-to that.  The dice + BCE training loss is one node too,
+matrix product), ``layer_norm`` and ``conv2d``.  ``linear`` gives the bits of
+the chain of elementary ops it stands for, and ``layer_norm`` those of numpy's
+``mean`` and ``var``; the tests hold them to that.  A whole transformer block
+is one node too, ``backbone.transformer_block``, built on the array math of
+``linear`` and ``layer_norm``, and so is the dice + BCE training loss,
 ``training.combined_loss``.
 """
 
@@ -33,6 +33,9 @@ class ConfigError(ValueError):
 
 class GradientError(RuntimeError):
     """Raised when backward is called on an invalid root."""
+
+
+LN_EPS = 1e-5   # layer_norm's default epsilon
 
 
 class Tensor:
@@ -264,96 +267,66 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def _bw(g):
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            # one GEMM over the rows of every leading index
-            w._accumulate(x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        if b is not None and b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        _linear_weight_grads(g, x.data, w, b)
 
     out._backward = _bw
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask) -> Tensor:
-    """Bidirectional multi-head attention of ``[..., s, d]`` projections as one
-    node: split into heads, softmax(q kᵀ / √d_h) per head, times ``mask``
-    (``[..., heads, s, s]`` dropout scales, or ``None``), then A·V with the
-    heads merged back to ``[..., s, d]``."""
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    *lead, s, d = q.shape
-    if d % heads != 0:
-        raise ConfigError(f"{heads} heads do not divide width {d}")
-    n, dh = len(lead), d // heads
-    swap = (*range(n), n + 1, n, n + 2)  # [..., s, heads, dh] <-> [..., heads, s, dh]
-    qh, kh, vh = (t.data.reshape(*lead, s, heads, dh).transpose(swap) for t in (q, k, v))
-    scale = 1.0 / np.sqrt(dh)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    att = e / e.sum(axis=-1, keepdims=True)
-    weights = att if mask is None else att * mask
-
-    def merge(t):
-        return t.transpose(swap).reshape(*lead, s, d)
-
-    out = Tensor(merge(weights @ vh), q.requires_grad or k.requires_grad or v.requires_grad,
-                 (q, k, v))
-
-    def _bw(g):
-        gh = g.reshape(*lead, s, heads, dh).transpose(swap)
-        if v.requires_grad:
-            v._accumulate(merge(weights.swapaxes(-1, -2) @ gh))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        datt = gh @ vh.swapaxes(-1, -2)
-        if mask is not None:
-            datt = datt * mask
-        dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * scale
-        if q.requires_grad:
-            q._accumulate(merge(dscores @ kh))
-        if k.requires_grad:
-            k._accumulate(merge((qh.swapaxes(-1, -2) @ dscores).swapaxes(-1, -2)))
-
-    out._backward = _bw
-    return out
+def _linear_weight_grads(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None) -> None:
+    """Route ``linear``'s incoming ``g`` to ``w`` and ``b``, each only if it
+    requires grad; ``x`` is the product's left operand."""
+    if w.requires_grad:
+        # one GEMM over the rows of every leading index
+        w._accumulate(x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+    if b is not None and b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.shape))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    d = x.shape[-1]
-    if d == 0:
+    if x.shape[-1] == 0:
         raise ShapeError("layer_norm over an empty last axis")
     if eps <= 0:
         raise ConfigError("layer_norm eps must be positive")
-    # numpy's mean and var arithmetic, without their Python-level wrappers
-    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = (centred * centred).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
-    out = Tensor(
-        gamma.data * xhat + beta.data,
-        x.requires_grad or gamma.requires_grad or beta.requires_grad,
-        (x, gamma, beta),
-    )
+    val, xhat, inv = _layer_norm_arrays(x.data, gamma.data, beta.data, eps)
+    out = Tensor(val, x.requires_grad or gamma.requires_grad or beta.requires_grad,
+                 (x, gamma, beta))
 
     def _bw(g):
-        bcast = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=bcast) if bcast else g * xhat)
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=bcast) if bcast else g.copy())
-        if not x.requires_grad:
-            return
-        dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.sum(axis=-1, keepdims=True) / d
-            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        )
-        x._accumulate(dx)
+        dx = _layer_norm_grads(g, gamma, beta, xhat, inv, x.requires_grad)
+        if x.requires_grad:
+            x._accumulate(dx)
 
     out._backward = _bw
     return out
+
+
+def _layer_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+    """``layer_norm``'s value, x̂ and 1/σ, with numpy's ``mean`` and ``var``
+    arithmetic without their Python-level wrappers."""
+    d = x.shape[-1]
+    centred = x - x.sum(axis=-1, keepdims=True) / d
+    var = (centred * centred).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centred * inv
+    return gamma * xhat + beta, xhat, inv
+
+
+def _layer_norm_grads(g: np.ndarray, gamma: Tensor, beta: Tensor, xhat: np.ndarray,
+                      inv: np.ndarray, dx: bool) -> np.ndarray | None:
+    """Route ``layer_norm``'s incoming ``g`` to ``gamma`` and ``beta``, each
+    only if it requires grad, and return the input's gradient if ``dx``."""
+    bcast, d = tuple(range(g.ndim - 1)), g.shape[-1]
+    if gamma.requires_grad:
+        gamma._accumulate((g * xhat).sum(axis=bcast) if bcast else g * xhat)
+    if beta.requires_grad:
+        beta._accumulate(g.sum(axis=bcast) if bcast else g.copy())
+    if dx:
+        dxhat = g * gamma.data
+        return inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
+                      - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d))
 
 
 # -- image ops ---------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Shared test utilities: finite-difference oracles, small fixtures, and the
-references the fused tensor ops, the loss node and stacked evaluation are
-checked against."""
+references the fused tensor ops, the transformer block, the loss node and
+stacked evaluation are checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from promptseg.backbone import tokenize
-from promptseg.tensor import ShapeError, Tensor, as_tensor, mul
+from promptseg.tensor import ShapeError, Tensor, as_tensor, layer_norm, linear, mul, relu
 from promptseg.training import THRESHOLD, dice_score
 
 
@@ -43,8 +43,7 @@ def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
 
 
 def softmax(a, axis: int = -1):
-    """Softmax as its own graph node: the reference the fused attention op is
-    checked against."""
+    """Softmax as its own graph node, in ``attention_chain``."""
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -112,6 +111,75 @@ def attention_chain(q, k, v, heads: int, mask):
     if mask is not None:
         att = mul(att, mask)
     return matmul(att, vh).transpose(swap).reshape(*lead, s, d)
+
+
+def attention(q, k, v, heads: int, mask):
+    """Bidirectional multi-head attention of ``[..., s, d]`` projections as one
+    node: split into heads, softmax(q kᵀ / √d_h) per head, times ``mask``
+    (``[..., heads, s, s]`` dropout scales, or ``None``), then A·V with the
+    heads merged back to ``[..., s, d]``.  The attention node of
+    ``transformer_block_chain``; it gives the bits of ``attention_chain``."""
+    *lead, s, d = q.shape
+    n, dh = len(lead), d // heads
+    swap = (*range(n), n + 1, n, n + 2)  # [..., s, heads, dh] <-> [..., heads, s, dh]
+    qh, kh, vh = (t.data.reshape(*lead, s, heads, dh).transpose(swap) for t in (q, k, v))
+    scale = 1.0 / np.sqrt(dh)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    weights = att if mask is None else att * mask
+
+    def merge(t):
+        return t.transpose(swap).reshape(*lead, s, d)
+
+    out = Tensor(merge(weights @ vh), q.requires_grad or k.requires_grad or v.requires_grad,
+                 (q, k, v))
+
+    def _bw(g):
+        gh = g.reshape(*lead, s, heads, dh).transpose(swap)
+        if v.requires_grad:
+            v._accumulate(merge(weights.swapaxes(-1, -2) @ gh))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        datt = gh @ vh.swapaxes(-1, -2)
+        if mask is not None:
+            datt = datt * mask
+        dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q._accumulate(merge(dscores @ kh))
+        if k.requires_grad:
+            k._accumulate(merge((qh.swapaxes(-1, -2) @ dscores).swapaxes(-1, -2)))
+
+    out._backward = _bw
+    return out
+
+
+def transformer_block_chain(params, prefix, x, heads, layernorm_first=True,
+                            attn_dropout=0.0, rng=None):
+    """``backbone.transformer_block`` as the chain of ``layer_norm``,
+    ``linear``, ``attention``, ``relu`` and add nodes it stands for, 12 nodes,
+    drawing the same dropout mask from the same ``rng``."""
+    p = lambda n: params[f"{prefix}.{n}"]
+
+    def attn(t):
+        *lead, s, _ = t.shape
+        mask = None
+        if attn_dropout > 0.0 and rng is not None:
+            mask = (rng.random((*lead, heads, s, s)) >= attn_dropout) / (1.0 - attn_dropout)
+        out = attention(linear(t, p("wq"), p("bq")), linear(t, p("wk"), p("bk")),
+                        linear(t, p("wv"), p("bv")), heads, mask)
+        return linear(out, p("wo"), p("bo"))
+
+    def ff(t):
+        return linear(relu(linear(t, p("ff.w1"), p("ff.b1"))), p("ff.w2"), p("ff.b2"))
+
+    if layernorm_first:
+        x = x + attn(layer_norm(x, p("ln1.g"), p("ln1.b")))
+        x = x + ff(layer_norm(x, p("ln2.g"), p("ln2.b")))
+    else:
+        x = layer_norm(x + attn(x), p("ln1.g"), p("ln1.b"))
+        x = layer_norm(x + ff(x), p("ln2.g"), p("ln2.b"))
+    return x
 
 
 def layer_norm_reference(x, gamma, beta, eps: float = 1e-5):
@@ -187,6 +255,8 @@ def evaluate_per_sample(model, state, samples) -> float:
     scores = []
     for s in samples:
         logits = model.forward(s.image, tokenize(s.phrase, model.cfg.max_text_len), state)
-        prob = 1.0 / (1.0 + np.exp(-logits.data))
+        z = logits.data
+        e = np.exp(-np.abs(z))  # 1 / (1 + exp(-z)) overflows below z = -709
+        prob = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         scores.append(dice_score(prob > THRESHOLD, s.mask))
     return float(np.mean(scores))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from promptseg.backbone import init_block_params, transformer_block
 from promptseg.tensor import (
     ConfigError,
     GradientError,
     ShapeError,
     Tensor,
-    attention,
     concat,
     conv2d,
     layer_norm,
@@ -15,6 +17,7 @@ from promptseg.tensor import (
 )
 
 from helpers import (
+    attention,
     attention_chain,
     finite_difference,
     layer_norm_reference,
@@ -23,6 +26,7 @@ from helpers import (
     max_rel_error,
     reduce_sum,
     softmax,
+    transformer_block_chain,
 )
 
 
@@ -111,28 +115,49 @@ class TestLayerNorm:
             assert max_rel_error(fd, t.grad) < 1e-6
 
 
-class TestAttention:
-    def _params(self, d, rng):
-        ts = [Tensor(rng.normal(size=(d, d)), requires_grad=True) for _ in range(4)]
-        bs = [Tensor(rng.normal(size=d) * 0.1, requires_grad=True) for _ in range(4)]
-        return ts, bs
+# A central difference across a ReLU's kink does not approximate its gradient.
+# Under this seed every ReLU input in the block's finite-difference grids below
+# lies at least 2e-3 from zero; under seed 30 one lay 2e-4 from it, within
+# reach of a 1e-5 step of a layer-norm gain.
+KINK_FREE_SEED = 47
 
-    @staticmethod
-    def _attend(x, params, heads):
-        """Attention over the query, key and value projections of ``x``, then
-        the output projection."""
-        (wq, wk, wv, wo), (bq, bk, bv, bo) = params
-        out = attention(linear(x, wq, bq), linear(x, wk, bk), linear(x, wv, bv), heads, None)
-        return linear(out, wo, bo)
+
+def _block_params(rng, d=8, ff=16, trainable=True):
+    """One block's parameters under the prefix ``b``: random weights, and gains,
+    shifts and biases drawn around their initial values."""
+    params = {}
+    init_block_params(params, "b", d, ff, rng)
+    for t in params.values():
+        t.data = rng.normal(size=t.shape) * 0.5 + (t.data if t.data.ndim == 1 else 0.0)
+        t.requires_grad = trainable
+    return params
+
+
+def _live(params, x):
+    """``x`` and the weights that require grad, save ``bk``: the key bias
+    shifts all of a query's scores alike, so softmax cancels it and its
+    gradient is zero up to rounding, far below what finite differences
+    resolve."""
+    return [x] + [t for n, t in params.items() if t.requires_grad and n != "b.bk"]
+
+
+class TestAttention:
+    """The transformer block's attention, seen from outside the block."""
 
     def test_single_token_reduces_to_value_path(self):
         rng = np.random.default_rng(2)
         d = 6
-        params = self._params(d, rng)
-        (_, _, wv, wo), (_, _, bv, bo) = params
-        x = Tensor(rng.normal(size=(1, d)))
-        out = self._attend(x, params, heads=2)
-        expected = (x.data @ wv.data + bv.data) @ wo.data + bo.data
+        params = _block_params(rng, d, ff=5, trainable=False)
+        p = lambda n: params[f"b.{n}"].data
+
+        def ln(t, g, b):
+            return g * (t - t.mean()) / np.sqrt(t.var() + 1e-5) + b
+
+        x = rng.normal(size=(1, d))
+        out = transformer_block(params, "b", Tensor(x), 2)
+        h = x + (ln(x, p("ln1.g"), p("ln1.b")) @ p("wv") + p("bv")) @ p("wo") + p("bo")
+        f1 = ln(h, p("ln2.g"), p("ln2.b")) @ p("ff.w1") + p("ff.b1")
+        expected = h + np.maximum(f1, 0.0) @ p("ff.w2") + p("ff.b2")
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
@@ -143,22 +168,19 @@ class TestAttention:
     def test_head_divisibility_enforced(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ConfigError):
-            self._attend(Tensor(np.zeros((2, 6))), self._params(6, rng), heads=4)
+            transformer_block(_block_params(rng, 6), "b", Tensor(np.zeros((2, 6))), 4)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        s, d = 3, 8
-        params = self._params(d, rng)
-        (wq, wk, wv, wo), _ = params
-        x = Tensor(rng.normal(size=(s, d)), requires_grad=True)
-        weights = rng.normal(size=(s, d))
-        checked = [x, wq, wk, wv, wo]
+        params = _block_params(rng)
+        x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        weights = rng.normal(size=(3, 8))
+        checked = _live(params, x)
 
         def run():
-            return reduce_sum(self._attend(x, params, heads=2) * weights)
+            return reduce_sum(transformer_block(params, "b", x, 2) * weights)
 
-        loss = run()
-        loss.backward()
+        run().backward()
         for t, fd in zip(checked, finite_difference(lambda: run().item(), checked)):
             assert max_rel_error(fd, t.grad) < 1e-5
 
@@ -171,44 +193,135 @@ def _dropout_mask(rng, lead, heads, s=3, p=0.3):
     return (rng.random((*lead, heads, s, s)) >= p) / (1.0 - p)
 
 
+def _block_loss(params, x, heads, weights, seed=None, layernorm_first=True):
+    """The weighted sum of the block's output; a ``seed`` draws a 0.3 dropout
+    mask from a fresh rng of that seed on every call."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    y = transformer_block(params, "b", x, heads, layernorm_first=layernorm_first,
+                          attn_dropout=0.3, rng=rng)
+    return reduce_sum(y * weights)
+
+
 class TestFusedAttention:
+    """Finite differences through the whole transformer block, pre-norm."""
+
     @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["lead0", "lead1", "lead2"])
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("dropout", [False, True], ids=["no-mask", "mask"])
     def test_gradient_matches_finite_differences(self, lead, heads, dropout):
-        rng = np.random.default_rng(30)
-        q, k, v = _qkv(rng, lead)
-        mask = _dropout_mask(rng, lead, heads) if dropout else None
+        rng = np.random.default_rng(KINK_FREE_SEED)
+        params = _block_params(rng)
+        x = Tensor(rng.normal(size=(*lead, 3, 8)), requires_grad=True)
         weights = rng.normal(size=(*lead, 3, 8))
+        seed = 7 if dropout else None
+        checked = _live(params, x)
 
         def run():
-            return reduce_sum(attention(q, k, v, heads, mask) * weights)
+            return _block_loss(params, x, heads, weights, seed)
 
         run().backward()
-        for t, fd in zip((q, k, v), finite_difference(lambda: run().item(), [q, k, v])):
+        for t, fd in zip(checked, finite_difference(lambda: run().item(), checked)):
             assert max_rel_error(fd, t.grad) < 1e-5
 
     @pytest.mark.parametrize("frozen", [0, 1, 2], ids=["q", "k", "v"])
     def test_frozen_operand_gets_no_gradient(self, frozen):
         rng = np.random.default_rng(31)
-        qkv = _qkv(rng, (2,))
-        qkv[frozen].requires_grad = False
-        mask = _dropout_mask(rng, (2,), 2)
+        params = _block_params(rng)
+        names = [f"b.{w}{'qkv'[frozen]}" for w in "wb"]
+        for name in names:
+            params[name].requires_grad = False
+        x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
         weights = rng.normal(size=(2, 3, 8))
+        live = _live(params, x)
 
         def run():
-            return reduce_sum(attention(*qkv, 2, mask) * weights)
+            return _block_loss(params, x, 2, weights, seed=8)
 
         run().backward()
-        assert qkv[frozen].grad is None
-        live = [t for t in qkv if t.requires_grad]
+        assert all(params[name].grad is None for name in names)
         for t, fd in zip(live, finite_difference(lambda: run().item(), live)):
             assert max_rel_error(fd, t.grad) < 1e-5
 
     def test_heads_must_divide_width(self):
-        q, k, v = _qkv(np.random.default_rng(32), ())
+        rng = np.random.default_rng(32)
         with pytest.raises(ConfigError, match="3 heads do not divide width 8"):
-            attention(q, k, v, 3, None)
+            transformer_block(_block_params(rng), "b", Tensor(rng.normal(size=(3, 8))), 3)
+
+
+class TestTransformerBlock:
+    """``transformer_block`` is one graph node with the bits of the chain of
+    ``transformer_block_chain``, in its value and in every gradient."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1),
+           lead=hst.lists(hst.integers(1, 3), max_size=2),
+           s=hst.integers(1, 5), heads=hst.integers(1, 4), dh=hst.integers(1, 3),
+           ff=hst.integers(1, 9), layernorm_first=hst.booleans(),
+           dropout=hst.sampled_from([0.0, 0.3]),
+           weights=hst.sampled_from(["frozen", "trainable", "mixed"]),
+           x_grad=hst.booleans())
+    def test_value_and_gradients_match_the_chain_bit_for_bit(
+            self, seed, lead, s, heads, dh, ff, layernorm_first, dropout, weights, x_grad):
+        rng = np.random.default_rng(seed)
+        d = heads * dh
+        arrays = {n: t.data for n, t in _block_params(rng, d, ff).items()}
+        trainable = {n: weights == "trainable" or (weights == "mixed" and rng.random() < 0.5)
+                     for n in arrays}
+        x_grad = x_grad or not any(trainable.values())
+        x0 = rng.normal(size=(*lead, s, d))
+        losses = [rng.normal(size=(*lead, s, d)) for _ in range(2)]
+
+        def run(block):
+            params = {n: Tensor(a.copy(), requires_grad=trainable[n]) for n, a in arrays.items()}
+            x = Tensor(x0.copy(), requires_grad=x_grad)
+            values = []
+            # two backward passes accumulate into the leaf x and the weights,
+            # as micro-batches do into a coupler's unified prompt
+            for k, w in enumerate(losses):
+                y = block(params, "b", x, heads, layernorm_first=layernorm_first,
+                          attn_dropout=dropout, rng=np.random.default_rng(seed + k))
+                values.append(y.data.tobytes())
+                reduce_sum(y * w).backward()
+            grads = [t.grad for t in (x, *params.values())]
+            return values, [None if g is None else g.tobytes() for g in grads]
+
+        fused, chain = run(transformer_block), run(transformer_block_chain)
+        assert fused == chain
+        assert fused[1][0] is not None or not x_grad
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["lead0", "lead1", "lead2"])
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-mask", "mask"])
+    @pytest.mark.parametrize("layernorm_first", [True, False], ids=["pre-norm", "post-norm"])
+    def test_gradient_matches_finite_differences(self, lead, dropout, layernorm_first):
+        rng = np.random.default_rng(KINK_FREE_SEED)
+        params = _block_params(rng)
+        x = Tensor(rng.normal(size=(*lead, 3, 8)), requires_grad=True)
+        weights = rng.normal(size=(*lead, 3, 8))
+        seed = 9 if dropout else None
+        checked = _live(params, x)
+
+        def run():
+            return _block_loss(params, x, 2, weights, seed, layernorm_first)
+
+        run().backward()
+        for t, fd in zip(checked, finite_difference(lambda: run().item(), checked)):
+            assert max_rel_error(fd, t.grad) < 1e-4
+        assert np.abs(params["b.bk"].grad).max() < 1e-12
+
+    def test_frozen_block_keeps_no_graph(self):
+        rng = np.random.default_rng(37)
+        y = transformer_block(_block_params(rng, trainable=False), "b",
+                              Tensor(rng.normal(size=(2, 3, 8))), 2, attn_dropout=0.3, rng=rng)
+        assert not y.requires_grad
+        assert y._backward is None and y._parents == ()
+
+    def test_frozen_weights_give_the_input_its_gradient_only(self):
+        rng = np.random.default_rng(38)
+        params = _block_params(rng, trainable=False)
+        x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        reduce_sum(transformer_block(params, "b", x, 2)).backward()
+        assert x.grad is not None
+        assert all(t.grad is None for t in params.values())
 
 
 class TestFusedMatchesChain:
@@ -229,6 +342,8 @@ class TestFusedMatchesChain:
     @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["lead0", "lead1", "lead2"])
     @pytest.mark.parametrize("dropout", [False, True], ids=["no-mask", "mask"])
     def test_attention_block(self, lead, dropout):
+        """The attention node of ``transformer_block_chain`` gives the bits of
+        elementary ops, so the block does too."""
         rng = np.random.default_rng(33)
         s, d, heads = 5, 12, 2  # 1/sqrt(6) is inexact: a reordered scaling shows
         arrays = [rng.normal(size=(*lead, s, d))] + [

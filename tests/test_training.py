@@ -490,6 +490,17 @@ def test_stacked_evaluate_matches_per_sample_loop(three_phrases, kind):
         evaluate_per_sample(model, state, samples))
 
 
+def test_per_sample_reference_takes_logits_beyond_the_range_of_exp(three_phrases, monkeypatch):
+    """Logits pushed below -709, where exp(-z) overflows: the reference agrees
+    with ``evaluate`` and raises no overflow warning."""
+    model, _ = three_phrases
+    samples = _split(INTERLEAVED)
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda *args: forward(*args) * -1e6)
+    assert np.min(model.forward(samples[0].image, tokenize(samples[0].phrase, 16)).data) < -709
+    assert repr(evaluate(model, None, samples)) == repr(evaluate_per_sample(model, None, samples))
+
+
 @pytest.mark.parametrize("pattern", [INTERLEAVED, "AABAAAACAA"])
 def test_evaluate_forwards_phrase_sorted_stacks_of_at_most_eval_stack(three_phrases, pattern,
                                                                       monkeypatch):
