@@ -151,12 +151,14 @@ def transformer_block(params: dict, prefix: str, x: Tensor, heads: int,
     chain of ``layer_norm``, ``linear``, ``relu`` and add nodes it stands for:
     each gradient between two of them is a fresh buffer, and the parts of one
     are summed in the chain's order.  Weights that do not require grad get no
-    gradient computed; if nothing requires grad, the output has no graph."""
+    gradient computed (nor, if all are frozen, kept the arrays only they read);
+    if nothing requires grad, the output has no graph."""
     *lead, s, d = x.shape
     if d % heads != 0:
         raise ConfigError(f"{heads} heads do not divide width {d}")
     ws = [params[f"{prefix}.{n}"] for n in BLOCK_PARAMS]
     wq, bq, wk, bk, wv, bv, wo, bo, g1, c1, g2, c2, w1, b1, w2, b2 = ws
+    weight_grads = any(w.requires_grad for w in ws)
     mask = (None if attn_dropout <= 0.0 or rng is None else
             (rng.random((*lead, heads, s, s)) >= attn_dropout) / (1.0 - attn_dropout))
     n, dh = len(lead), d // heads
@@ -165,7 +167,7 @@ def transformer_block(params: dict, prefix: str, x: Tensor, heads: int,
     merge = lambda t: t.transpose(swap).reshape(*lead, s, d)
     scale = 1.0 / np.sqrt(dh)
 
-    def lin_bw(g, t, w, b):  # t @ w + b's input gradient, after its weights'
+    def lin_bw(g, t, w, b):  # t @ w + b's input gradient, after its weights' (which read t)
         _linear_weight_grads(g, t, w, b)
         return g @ w.data.T
 
@@ -177,6 +179,8 @@ def transformer_block(params: dict, prefix: str, x: Tensor, heads: int,
         att = e / e.sum(axis=-1, keepdims=True)
         weighted = att if mask is None else att * mask
         a = merge(weighted @ vh)
+        y = a @ wo.data + bo.data
+        t, a = (t, a) if weight_grads else (None, None)
 
         def bw(g):
             gh = split(_fresh(lin_bw(g, a, wo, bo)))
@@ -189,14 +193,16 @@ def transformer_block(params: dict, prefix: str, x: Tensor, heads: int,
             return [lin_bw(_fresh(merge(dt)), t, w, b)
                     for dt, w, b in zip(per_head, (wq, wk, wv), (bq, bk, bv))]
 
-        return a @ wo.data + bo.data, bw
+        return y, bw
 
     def ff(t):
         f1 = t @ w1.data + b1.data
         relu_mask = f1 > 0
         r = np.where(relu_mask, f1, 0.0)
+        y = r @ w2.data + b2.data
+        t, r = (t, r) if weight_grads else (None, None)
         bw = lambda g: [lin_bw(_fresh(_fresh(lin_bw(g, r, w2, b2)) * relu_mask), t, w1, b1)]
-        return r @ w2.data + b2.data, bw
+        return y, bw
 
     def residual(t, layer, gamma, beta):
         """``t + layer(ln(t))`` pre-norm, ``ln(t + layer(t))`` post-norm."""
@@ -216,7 +222,7 @@ def transformer_block(params: dict, prefix: str, x: Tensor, heads: int,
 
     h, attn_bw = residual(x.data, attn, g1, c1)
     val, ff_bw = residual(h, ff, g2, c2)
-    if not (x.requires_grad or any(w.requires_grad for w in ws)):
+    if not (x.requires_grad or weight_grads):
         return Tensor(val)
     out = Tensor(val, True, (x, *ws))
 
@@ -423,33 +429,46 @@ class Backbone:
 
     # -- full model ----------------------------------------------------------
 
-    def forward(self, image: np.ndarray, tokens, state=None, rng=None) -> Tensor:
+    def forward(self, image: np.ndarray, tokens, state=None, rng=None,
+                memo: dict | None = None) -> Tensor:
         """Full text-conditioned segmentation pass; ``state`` carries prompts.
 
         A stack [N, 3, S, S] with N token arrays gives [N, S, S] logits, from
         one prompt build and one text-encoder pass per distinct phrase; one
-        image [3, S, S] with its token array runs as a stack of one.
-        """
+        image [3, S, S] with its token array runs as a stack of one.  ``memo``,
+        a dict passed empty to the first of a run of forwards under unchanged
+        prompts, keeps the prompts and each phrase's text row without its graph
+        for the rest (not ``cocoop``'s rows: they depend on the images)."""
         from . import prompts
 
         single = np.ndim(image) == 3
         if single:
             image, tokens = np.asarray(image)[None], [tokens]
-        textual, visual = prompts.build_prompts(state, rng=rng)
-        img_enc = self.encode_image(image, visual_prompts=visual)
         if len(tokens) != len(image):
             raise ShapeError(f"{len(image)} images but {len(tokens)} token arrays")
+        if memo is None:
+            textual, visual = prompts.build_prompts(state, rng=rng)
+        else:
+            if "prompts" not in memo:
+                memo["prompts"] = prompts.build_prompts(state, rng=rng)
+            textual, visual = memo["prompts"]
+        img_enc = self.encode_image(image, visual_prompts=visual)
         conditioned = state is not None and state.strategy.image_conditioned
         groups: dict[bytes, list[int]] = {}
         for i, t in enumerate(tokens):
             groups.setdefault(np.asarray(t).tobytes(), []).append(i)
         # z rows: one per phrase, or for cocoop one per sample of a phrase pass
         rows, row_of, n_rows = [], np.empty(len(tokens), dtype=np.int64), 0
-        for idx in groups.values():
+        for key, idx in groups.items():
             if conditioned:
                 textual = prompts.cocoop_condition(state, img_enc.z[idx])
-            z = self.encode_text(tokens[idx[0]], textual).z
-            rows.append(z if conditioned else z.reshape(1, -1))
+                rows.append(self.encode_text(tokens[idx[0]], textual).z)
+            elif memo is None:
+                rows.append(self.encode_text(tokens[idx[0]], textual).z.reshape(1, -1))
+            else:
+                if key not in memo:
+                    memo[key] = Tensor(self.encode_text(tokens[idx[0]], textual).z.data[None])
+                rows.append(memo[key])
             row_of[idx] = n_rows + np.arange(len(idx)) if conditioned else n_rows
             n_rows += rows[-1].shape[0]
         logits = self.decode(img_enc.patch_tokens, concat(rows, axis=0)[row_of])

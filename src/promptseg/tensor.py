@@ -18,6 +18,7 @@ is one node too, ``backbone.transformer_block``, built on the array math of
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -337,7 +338,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
     zero padded; leading axes index independent images."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     *lead, c_in, h, w = x.shape
-    lead, n = tuple(lead), len(lead)
     c_out, kc, kh, kw = kernel.shape
     if kc != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {c_in}, kernel {kc}")
@@ -348,11 +348,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
         raise ShapeError(
             f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    xp = np.pad(x.data, ((0, 0),) * (n + 1) + ((padding, padding),) * 2)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-2, -1))
-    # cols: [..., c_in*kh*kw, oh*ow]
-    cols = windows.transpose(*range(n), n, n + 3, n + 4, n + 1, n + 2).reshape(
-        *lead, c_in * kh * kw, oh * ow)
+    xp = np.zeros((*lead, c_in, h + 2 * padding, w + 2 * padding))
+    xp[..., padding : padding + h, padding : padding + w] = x.data
+    cols = np.empty((*lead, c_in, kh, kw, oh, ow))  # C-contiguous: the GEMMs' bits rest on it
+    for i, j in product(range(kh), range(kw)):
+        cols[..., i, j, :, :] = xp[..., i : i + oh, j : j + ow]
+    cols = cols.reshape(*lead, c_in * kh * kw, oh * ow)
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
     val = (kmat @ cols).reshape(*lead, c_out, oh, ow)
     parents = [x, kernel]
@@ -363,11 +364,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
     out = Tensor(val, any(p.requires_grad for p in parents), tuple(parents))
 
     def _bw(g):
-        g2 = g.reshape(*lead, c_out, oh * ow)
         # summed over leading axes only when there are some: a sum over one
         # image would turn -0.0 into 0.0
         if kernel.requires_grad:
-            gk = g2 @ cols.swapaxes(-1, -2)  # [..., c_out, c_in*kh*kw]
+            gk = g.reshape(*lead, c_out, oh * ow) @ cols.swapaxes(-1, -2)
             if lead:
                 gk = gk.reshape(-1, *gk.shape[-2:]).sum(axis=0)
             kernel._accumulate(gk.reshape(kernel.shape))
@@ -376,15 +376,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
             bias._accumulate(gb.reshape(-1, c_out).sum(axis=0) if lead else gb)
         if not x.requires_grad:
             return
-        dcols = kmat.T @ g2  # [..., c_in*kh*kw, oh*ow]
-        dxp = np.zeros_like(xp)
-        dwin = dcols.reshape(*lead, c_in, kh, kw, oh, ow)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[..., i : i + oh, j : j + ow] += dwin[..., i, j, :, :]
-        if padding:
-            dxp = dxp[..., padding:-padding, padding:-padding]
-        x._accumulate(dxp)
+        # each tap's exact products k * g, added into zeros in tap order: for
+        # one output channel, the bits of a K=1 GEMM and window adds
+        dxp = np.zeros((*lead, c_in, h + 2 * padding, w + 2 * padding))
+        for i, j, o in product(range(kh), range(kw), range(c_out)):
+            dxp[..., i : i + oh, j : j + ow] += (kernel.data[o, :, i, j, None, None]
+                                                 * g[..., o : o + 1, :, :])
+        x._accumulate(dxp[..., padding : padding + h, padding : padding + w])
 
     out._backward = _bw
     return out

@@ -171,19 +171,22 @@ def evaluate(model: Backbone, state: PromptState | None, samples) -> float:
     """Mean dice over samples at the ``THRESHOLD`` probability.
 
     The samples, sorted by phrase, are forwarded in stacks of at most
-    ``EVAL_STACK``, so each phrase fills one run of stacks, a stack runs one
-    text-encoder pass per phrase in it, and its graph stays of bounded size.
+    ``EVAL_STACK``, so each phrase fills one run of stacks and a stack's graph
+    stays of bounded size.  The stacks share one ``memo``: the prompts are
+    built once per call and each phrase is encoded once (by ``cocoop`` once
+    per stack it is in).
     """
     if not samples:
         return float("nan")
     order = sorted(range(len(samples)), key=lambda i: samples[i].phrase)
     scores = np.empty(len(samples))
+    memo: dict = {}
     for start in range(0, len(order), EVAL_STACK):
         stack = order[start:start + EVAL_STACK]
         # keep only the logits, so the stack's graph is freed before the next forward
         logits = model.forward(np.stack([samples[i].image for i in stack]),
                                [tokenize(samples[i].phrase, model.cfg.max_text_len)
-                                for i in stack], state).data
+                                for i in stack], state, memo=memo).data
         for i, p in zip(stack, _probability(logits)):
             scores[i] = dice_score(p > THRESHOLD, samples[i].mask)
     return float(np.mean(scores))

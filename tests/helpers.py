@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference oracles, small fixtures, and the
-references the fused tensor ops, the transformer block, the loss node and
-stacked evaluation are checked against."""
+references the fused tensor ops, ``conv2d``, the transformer block, the loss
+node and stacked evaluation are checked against."""
 
 from __future__ import annotations
 
@@ -197,6 +197,53 @@ def layer_norm_reference(x, gamma, beta, eps: float = 1e-5):
         dxhat = g * gamma.data
         x._accumulate(inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+
+    out._backward = _bw
+    return out
+
+
+def conv2d_reference(x, kernel, bias=None, padding: int = 0):
+    """``tensor.conv2d`` as an im2col of the padded input and two batched
+    GEMMs, with the input gradient scattered back window by window: the
+    reference the op's bits are checked against for one channel."""
+    x, kernel = as_tensor(x), as_tensor(kernel)
+    *lead, c_in, h, w = x.shape
+    lead, n = tuple(lead), len(lead)
+    c_out, _, kh, kw = kernel.shape
+    oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    xp = np.pad(x.data, ((0, 0),) * (n + 1) + ((padding, padding),) * 2)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-2, -1))
+    cols = windows.transpose(*range(n), n, n + 3, n + 4, n + 1, n + 2).reshape(
+        *lead, c_in * kh * kw, oh * ow)
+    kmat = kernel.data.reshape(c_out, c_in * kh * kw)
+    val = (kmat @ cols).reshape(*lead, c_out, oh, ow)
+    parents = [x, kernel]
+    if bias is not None:
+        bias = as_tensor(bias)
+        val = val + bias.data.reshape(c_out, 1, 1)
+        parents.append(bias)
+    out = Tensor(val, any(p.requires_grad for p in parents), tuple(parents))
+
+    def _bw(g):
+        g2 = g.reshape(*lead, c_out, oh * ow)
+        if kernel.requires_grad:
+            gk = g2 @ cols.swapaxes(-1, -2)
+            if lead:
+                gk = gk.reshape(-1, *gk.shape[-2:]).sum(axis=0)
+            kernel._accumulate(gk.reshape(kernel.shape))
+        if bias is not None and bias.requires_grad:
+            gb = g.sum(axis=(-2, -1))
+            bias._accumulate(gb.reshape(-1, c_out).sum(axis=0) if lead else gb)
+        if not x.requires_grad:
+            return
+        dwin = (kmat.T @ g2).reshape(*lead, c_in, kh, kw, oh, ow)
+        dxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[..., i : i + oh, j : j + ow] += dwin[..., i, j, :, :]
+        if padding:
+            dxp = dxp[..., padding:-padding, padding:-padding]
+        x._accumulate(dxp)
 
     out._backward = _bw
     return out

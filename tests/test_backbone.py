@@ -234,6 +234,17 @@ class TestForward:
         with pytest.raises(ShapeError, match="3 images but 2 token arrays"):
             model.forward(images, toks[:2], state)
 
+    def test_mismatched_stack_fails_before_any_work(self, monkeypatch):
+        model = Backbone(small_cfg())
+        images = np.random.default_rng(13).random((2, 3, 32, 32))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("encoded an image of a mismatched stack")
+
+        monkeypatch.setattr(model, "encode_image", no_work)
+        with pytest.raises(ShapeError, match="2 images but 1 token arrays"):
+            model.forward(images, [tokenize("cat", 16)], None)
+
 
 def graph_nodes(root: Tensor) -> int:
     """Tensors with parents that ``root`` is computed from, itself included."""

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from promptseg.backbone import init_block_params, transformer_block
@@ -19,6 +21,7 @@ from promptseg.tensor import (
 from helpers import (
     attention,
     attention_chain,
+    conv2d_reference,
     finite_difference,
     layer_norm_reference,
     linear_chain,
@@ -323,6 +326,28 @@ class TestTransformerBlock:
         assert x.grad is not None
         assert all(t.grad is None for t in params.values())
 
+    def test_frozen_weight_blocks_keep_no_weight_only_arrays(self):
+        """The backward of a block with every weight frozen keeps only what dx
+        reads: not the inputs of the q, k, v and feed-forward projections, the
+        head-merged attention output or the ReLU output, which weight
+        gradients alone read (about 299 KiB kept per block with them)."""
+        rng = np.random.default_rng(39)
+        params: dict = {}
+        for i in range(4):
+            init_block_params(params, f"b{i}", 32, 64, rng)
+        x = Tensor(rng.normal(size=(4, 21, 32)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = x
+            for i in range(4):
+                y = transformer_block(params, f"b{i}", y, 4)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert kept / 4 <= 200 * 1024
+
 
 class TestFusedMatchesChain:
     """The fused ops give the bits of the node chains they stand for, in the
@@ -437,6 +462,47 @@ class TestConv2d:
         params = [x, k, b]
         for t, fd in zip(params, finite_difference(lambda: run().item(), params)):
             assert max_rel_error(fd, t.grad) < 1e-5
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), lead=hst.lists(hst.integers(1, 3), max_size=2),
+           h=hst.integers(1, 7), w=hst.integers(1, 7), kh=hst.sampled_from([3, 5]),
+           kw=hst.sampled_from([3, 5]), padding=hst.integers(0, 2), bias=hst.booleans(),
+           grads=hst.sampled_from(["x", "kernel", "all"]))
+    def test_one_channel_matches_the_reference_bit_for_bit(self, seed, lead, h, w, kh, kw,
+                                                           padding, bias, grads):
+        """Value and gradients equal ``conv2d_reference``'s bytes, with -0.0 in
+        the input, the kernel and the incoming gradient, over two backward
+        passes that accumulate into the leaves.  Kernel and output sides are
+        at least 3 and 2, as for the upsampler's 5 by 5 kernel over a whole
+        image: with a side of 1, the reference's im2col can stay a strided
+        view of the padded input, whose GEMM rounds differently."""
+        oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+        assume(oh >= 2 and ow >= 2)
+        rng = np.random.default_rng(seed)
+
+        def signed_zeros(a):
+            a[rng.random(a.shape) < 0.2] = -0.0
+            a[rng.random(a.shape) < 0.1] = 0.0
+            return a
+
+        x0 = signed_zeros(rng.normal(size=(*lead, 1, h, w)))
+        k0 = signed_zeros(rng.normal(size=(1, 1, kh, kw)))
+        b0 = rng.normal(size=1)
+        losses = [signed_zeros(rng.normal(size=(*lead, 1, oh, ow))) for _ in range(2)]
+
+        def run(op):
+            x = Tensor(x0.copy(), requires_grad=grads != "kernel")
+            k = Tensor(k0.copy(), requires_grad=grads != "x")
+            b = Tensor(b0.copy(), requires_grad=grads == "all") if bias else None
+            values = []
+            for weights in losses:
+                y = op(x, k, bias=b, padding=padding)
+                values.append(y.data.tobytes())
+                reduce_sum(y * weights).backward()
+            return values, [None if t is None or t.grad is None else t.grad.tobytes()
+                            for t in (x, k, b)]
+
+        assert run(conv2d) == run(conv2d_reference)
 
 
 class TestBackward:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from promptseg import training
+from promptseg import prompts, training
 from promptseg.backbone import Backbone, BackboneConfig, tokenize
 from promptseg.dataio import SyntheticTaskSpec, generate_dataset
 from promptseg.prompts import KINDS, init_prompts, trainable_parameters
@@ -352,7 +352,7 @@ class TestTrainLoop:
         class Saturated:
             cfg = BackboneConfig()
 
-            def forward(self, images, tokens, state=None, rng=None):
+            def forward(self, images, tokens, state=None, rng=None, memo=None):
                 return Tensor(np.where(images[:, 0] > 0, 800.0, -800.0))
 
         masks = [np.eye(4), np.ones((4, 4)), np.zeros((4, 4))]
@@ -366,9 +366,9 @@ class TestTrainLoop:
         state = init_prompts("maple", B=2, J=1, backbone=model, seed=2)
         forward, trained = model.forward, []
 
-        def recording(image, tokens, state=None, rng=None):
+        def recording(image, tokens, state=None, rng=None, memo=None):
             assert all(ref() is None for ref in trained)
-            logits = forward(image, tokens, state, rng)
+            logits = forward(image, tokens, state, rng, memo)
             if rng is not None:
                 # a Tensor takes no weak reference; its buffer lives as long as it does
                 trained.append(weakref.ref(logits.data))
@@ -462,6 +462,8 @@ def test_frozen_weights_marked_trainable_change_no_trainable_gradient(three_phra
 
 # phrases interleave, so grouping reorders, and every phrase ends in a partial stack
 INTERLEAVED = "ABACBAC"
+# interleaved too, and sorted AABBBBBBBCC, so phrase B spans three stacks
+SPANNING = "BABBCBBABBC"
 
 
 def _split(pattern: str):
@@ -476,10 +478,17 @@ def _split(pattern: str):
     return [next(queues[letter]) for letter in pattern]
 
 
+def _stacks(samples) -> list[list[str]]:
+    """The phrases of each stack ``evaluate`` forwards, in order."""
+    phrases = sorted(s.phrase for s in samples)
+    return [phrases[i:i + EVAL_STACK] for i in range(0, len(phrases), EVAL_STACK)]
+
+
 @pytest.mark.parametrize("kind", [*KINDS, None])
 def test_stacked_evaluate_matches_per_sample_loop(three_phrases, kind):
     model, _ = three_phrases
-    samples = _split(INTERLEAVED)
+    samples = _split(SPANNING)
+    assert max(sum(s.phrase in stack for stack in _stacks(samples)) for s in samples) >= 3
     state = None
     if kind is not None:
         state = _state(kind, model, 2, 7)
@@ -490,13 +499,41 @@ def test_stacked_evaluate_matches_per_sample_loop(three_phrases, kind):
         evaluate_per_sample(model, state, samples))
 
 
+@pytest.mark.parametrize("kind", [*KINDS, None])
+def test_evaluate_builds_the_prompts_once_and_encodes_each_phrase_once(three_phrases, kind,
+                                                                      monkeypatch):
+    """One prompt build per call, and one text-encoder pass per distinct
+    phrase, except for cocoop: its prompts depend on the images, so it runs
+    one pass per phrase of each stack."""
+    model, _ = three_phrases
+    samples = _split(SPANNING)
+    state = None if kind is None else _state(kind, model, 2, 7)
+    build, encode, builds, encodes = prompts.build_prompts, model.encode_text, [], []
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    def counted_encode(*args, **kwargs):
+        encodes.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(prompts, "build_prompts", counted_build)
+    monkeypatch.setattr(model, "encode_text", counted_encode)
+    evaluate(model, state, samples)
+    assert len(builds) == 1
+    per_stack = sum(len(set(stack)) for stack in _stacks(samples))
+    assert len(encodes) == (per_stack if kind == "cocoop" else len(set(SPANNING)))
+    assert per_stack > len(set(SPANNING))
+
+
 def test_per_sample_reference_takes_logits_beyond_the_range_of_exp(three_phrases, monkeypatch):
     """Logits pushed below -709, where exp(-z) overflows: the reference agrees
     with ``evaluate`` and raises no overflow warning."""
     model, _ = three_phrases
     samples = _split(INTERLEAVED)
     forward = model.forward
-    monkeypatch.setattr(model, "forward", lambda *args: forward(*args) * -1e6)
+    monkeypatch.setattr(model, "forward", lambda *args, **kwargs: forward(*args, **kwargs) * -1e6)
     assert np.min(model.forward(samples[0].image, tokenize(samples[0].phrase, 16)).data) < -709
     assert repr(evaluate(model, None, samples)) == repr(evaluate_per_sample(model, None, samples))
 
@@ -507,9 +544,9 @@ def test_evaluate_forwards_phrase_sorted_stacks_of_at_most_eval_stack(three_phra
     model, _ = three_phrases
     forward, stacks = model.forward, []
 
-    def recording(image, tokens, state=None, rng=None):
+    def recording(image, tokens, state=None, rng=None, memo=None):
         stacks.append((np.shape(image), [np.asarray(t).tobytes() for t in tokens]))
-        return forward(image, tokens, state, rng)
+        return forward(image, tokens, state, rng, memo)
 
     monkeypatch.setattr(model, "forward", recording)
     evaluate(model, None, _split(pattern))
