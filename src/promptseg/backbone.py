@@ -25,6 +25,7 @@ from .tensor import (
     _layer_norm_arrays,
     _layer_norm_grads,
     _linear_weight_grads,
+    _node,
     broadcast_to,
     concat,
     conv2d,
@@ -152,7 +153,7 @@ def transformer_block(params: dict, prefix: str, x: Tensor, heads: int,
     each gradient between two of them is a fresh buffer, and the parts of one
     are summed in the chain's order.  Weights that do not require grad get no
     gradient computed (nor, if all are frozen, kept the arrays only they read);
-    if nothing requires grad, the output has no graph."""
+    like every op's, the output is a constant if nothing requires grad."""
     *lead, s, d = x.shape
     if d % heads != 0:
         raise ConfigError(f"{heads} heads do not divide width {d}")
@@ -222,16 +223,12 @@ def transformer_block(params: dict, prefix: str, x: Tensor, heads: int,
 
     h, attn_bw = residual(x.data, attn, g1, c1)
     val, ff_bw = residual(h, ff, g2, c2)
-    if not (x.requires_grad or weight_grads):
-        return Tensor(val)
-    out = Tensor(val, True, (x, *ws))
 
     def _bw(g):
         for part in attn_bw(_summed(ff_bw(g))):
             x._accumulate(part)
 
-    out._backward = _bw
-    return out
+    return _node(val, (x, *ws), _bw)
 
 
 class Backbone:
@@ -282,8 +279,6 @@ class Backbone:
         p["upsampler.bias"] = Tensor(np.zeros(1))
         p["upsampler.residual_factor"] = Tensor(np.asarray(0.1))
 
-        for t in p.values():
-            t.requires_grad = False
         if cfg.use_upsampler:
             for name in self.UPSAMPLER_NAMES:
                 p[name].requires_grad = True
@@ -309,15 +304,6 @@ class Backbone:
 
     def save(self, path) -> None:
         checkpoint.save_arrays(path, {n: t.data for n, t in self.params.items()})
-
-    def load(self, path) -> None:
-        arrays = checkpoint.load_arrays(path)
-        for name, arr in arrays.items():
-            if name not in self.params:
-                raise KeyError(f"unknown parameter {name} in checkpoint")
-            if arr.shape != self.params[name].shape:
-                raise ShapeError(f"checkpoint shape mismatch for {name}")
-            self.params[name].data = arr
 
     # -- encoders ------------------------------------------------------------
 

@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default="runs/out")
         if name == "report":
-            p.add_argument("--study", action="append", default=[], required=False)
+            p.add_argument("--study", action="append", required=True)
         p.set_defaults(fn=fn)
     return parser
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .tensor import ConfigError, ShapeError
 
+SPLITS = ("train", "val", "test")   # a fixture's splits, each non-empty
+
 
 @dataclass
 class SegmentationSample:
@@ -308,6 +310,19 @@ def _read_pgm(path: Path) -> np.ndarray:
     return vals.astype(np.uint8).reshape(h, w)
 
 
+def json_line(path, n: int, line: str, keys) -> dict:
+    """Line ``n`` of the JSON-lines file ``path``, an object holding ``keys``;
+    anything else is a ``ConfigError`` naming the file and the line."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} line {n} is not valid JSON: {exc.msg}") from None
+    missing = [k for k in keys if not isinstance(rec, dict) or k not in rec]
+    if missing:
+        raise ConfigError(f"{path} line {n} lacks {', '.join(map(repr, missing))}")
+    return rec
+
+
 def save_dataset(root, splits: dict[str, list[SegmentationSample]]) -> str:
     """Write images, masks, and the JSON-lines manifest; returns manifest path."""
     root = Path(root)
@@ -332,16 +347,23 @@ def save_dataset(root, splits: dict[str, list[SegmentationSample]]) -> str:
 
 
 def load_dataset(root) -> dict[str, list[SegmentationSample]]:
-    root = Path(root)
+    """The fixture ``save_dataset`` wrote under ``root``; a manifest line that
+    is no train, val or test record, or an empty split, is a ``ConfigError``."""
+    manifest = Path(root) / "manifest.jsonl"
     splits: dict[str, list[SegmentationSample]] = {}
-    with open(root / "manifest.jsonl") as f:
-        for line in f:
-            rec = json.loads(line)
-            sample = SegmentationSample(
-                image=_read_ppm(root / rec["image_path"]),
-                phrase=rec["phrase"],
-                mask=_read_pgm(root / rec["mask_path"]),
-                class_id=rec["class_id"],
-            )
-            splits.setdefault(rec["split"], []).append(sample)
+    for n, line in enumerate(manifest.read_text().splitlines(), 1):
+        rec = json_line(manifest, n, line,
+                        ("image_path", "mask_path", "phrase", "class_id", "split"))
+        if rec["split"] not in SPLITS:
+            raise ConfigError(f"{manifest} line {n} names split {rec['split']!r}, "
+                              f"not one of {', '.join(SPLITS)}")
+        splits.setdefault(rec["split"], []).append(SegmentationSample(
+            image=_read_ppm(manifest.parent / rec["image_path"]),
+            phrase=rec["phrase"],
+            mask=_read_pgm(manifest.parent / rec["mask_path"]),
+            class_id=rec["class_id"],
+        ))
+    for split in SPLITS:
+        if split not in splits:
+            raise ConfigError(f"{manifest} holds no {split} sample")
     return splits

@@ -13,17 +13,19 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .dataio import json_line
 from .tensor import ConfigError
 from .training import NonFiniteLossError
 
 GAMMA = 0.25
 N_STARTUP = 10
 N_CANDIDATES = 24
+STUDY_FORMAT = "promptseg-study-v1"
 
 
 @dataclass
@@ -227,7 +229,7 @@ class StudyState:
 
 def save_study(path, study: StudyState) -> None:
     header = {
-        "format": "promptseg-study-v1",
+        "format": STUDY_FORMAT,
         "strategy": study.strategy,
         "seed": study.seed,
         "space": study.space.to_json(),
@@ -242,13 +244,19 @@ def save_study(path, study: StudyState) -> None:
 
 
 def load_study(path) -> StudyState:
-    lines = Path(path).read_text().splitlines()
-    header = json.loads(lines[0])
+    """The study ``save_study`` wrote to ``path``; another format, or a line
+    that is not JSON or lacks a key, is a ``ConfigError`` naming the line."""
+    lines = Path(path).read_text().splitlines() or [""]
+    header = json_line(path, 1, lines[0], ("format", "strategy", "seed", "space", "rng_state"))
+    if header["format"] != STUDY_FORMAT:
+        raise ConfigError(f"{path} line 1 has format {header['format']!r}, not {STUDY_FORMAT!r}")
+    keys = [f.name for f in fields(TrialRecord)]
     study = StudyState(
         strategy=header["strategy"],
         seed=header["seed"],
         space=SearchSpace.from_json(header["space"]),
-        records=[TrialRecord.from_json(json.loads(ln)) for ln in lines[1:]],
+        records=[TrialRecord.from_json(json_line(path, n, ln, keys))
+                 for n, ln in enumerate(lines[1:], 2)],
     )
     study.rng.bit_generator.state = header["rng_state"]
     return study

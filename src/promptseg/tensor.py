@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Everything is stored as 64-bit floats in row-major numpy buffers.  The graph is
-built eagerly: every op records its parents and a closure that routes the
-incoming gradient to them.  `backward` walks the graph once in reverse
+built eagerly, by one rule that ``_node`` holds for every op: an op with an
+operand that requires grad returns a node that keeps its operands and a
+closure routing the incoming gradient to them; an op over constants returns a
+constant, which keeps neither.  `backward` walks the graph once in reverse
 topological order from a scalar root.  Tensors with ``requires_grad=False``
 never receive a gradient buffer, and no closure computes one for them.
 
@@ -124,6 +126,17 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _node(val, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's output: a node keeping ``parents`` and ``backward`` if any parent
+    requires grad, else a constant that keeps neither."""
+    for p in parents:  # a plain loop: any() over a generator costs more per op
+        if p.requires_grad:
+            out = Tensor(val, True, parents)
+            out._backward = backward
+            return out
+    return Tensor(val)
+
+
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.grad = None
@@ -146,12 +159,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a = as_tensor(a)
-    if not isinstance(b, Tensor):
-        out = Tensor(a.data + b, a.requires_grad, (a,))
-        out._backward = lambda g: a._accumulate(_unbroadcast(g, a.shape))
-        return out
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad, (a, b))
+    a, b = as_tensor(a), as_tensor(b)
 
     def _bw(g):
         if a.requires_grad:
@@ -159,18 +167,11 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    out._backward = _bw
-    return out
+    return _node(a.data + b.data, (a, b), _bw)
 
 
 def mul(a, b) -> Tensor:
-    a = as_tensor(a)
-    if not isinstance(b, Tensor):
-        bval = np.asarray(b, dtype=np.float64)
-        out = Tensor(a.data * bval, a.requires_grad, (a,))
-        out._backward = lambda g: a._accumulate(_unbroadcast(g * bval, a.shape))
-        return out
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad, (a, b))
+    a, b = as_tensor(a), as_tensor(b)
 
     def _bw(g):
         if a.requires_grad:
@@ -178,16 +179,13 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    out._backward = _bw
-    return out
+    return _node(a.data * b.data, (a, b), _bw)
 
 
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0), a.requires_grad, (a,))
-    out._backward = lambda g: a._accumulate(g * mask)
-    return out
+    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: a._accumulate(g * mask))
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -195,58 +193,44 @@ def relu(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), a.requires_grad, (a,))
-    out._backward = lambda g: a._accumulate(g.reshape(a.shape))
-    return out
+    return _node(a.data.reshape(shape), (a,), lambda g: a._accumulate(g.reshape(a.shape)))
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.transpose(axes), a.requires_grad, (a,))
-    inv = tuple(np.argsort(axes))
-    out._backward = lambda g: a._accumulate(g.transpose(inv))
-    return out
+    return _node(a.data.transpose(axes), (a,),
+                 lambda g: a._accumulate(g.transpose(tuple(np.argsort(axes)))))
 
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     """Read-only view of ``a`` repeated over new leading (or size-1) axes."""
     a = as_tensor(a)
-    out = Tensor(np.broadcast_to(a.data, shape), a.requires_grad, (a,))
-    out._backward = lambda g: a._accumulate(_unbroadcast(g, a.shape))
-    return out
+    return _node(np.broadcast_to(a.data, shape), (a,),
+                 lambda g: a._accumulate(_unbroadcast(g, a.shape)))
 
 
 def take(a: Tensor, key) -> Tensor:
     """Slice / integer-array indexing with scatter-add backward."""
     a = as_tensor(a)
-    out = Tensor(a.data[key], a.requires_grad, (a,))
 
     def _bw(g):
         gi = np.zeros_like(a.data)
         np.add.at(gi, key, g)
         a._accumulate(gi)
 
-    out._backward = _bw
-    return out
+    return _node(a.data[key], (a,), _bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        any(t.requires_grad for t in tensors),
-        tuple(tensors),
-    )
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    tensors = tuple(as_tensor(t) for t in tensors)
 
     def _bw(g):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
                 t._accumulate(piece)
 
-    out._backward = _bw
-    return out
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _bw)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -262,16 +246,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         b = as_tensor(b)
         val = val + b.data
-    out = Tensor(val, x.requires_grad or w.requires_grad or (b is not None and b.requires_grad),
-                 (x, w) if b is None else (x, w, b))
 
     def _bw(g):
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
         _linear_weight_grads(g, x.data, w, b)
 
-    out._backward = _bw
-    return out
+    return _node(val, (x, w) if b is None else (x, w, b), _bw)
 
 
 def _linear_weight_grads(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None) -> None:
@@ -292,16 +273,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> T
     if eps <= 0:
         raise ConfigError("layer_norm eps must be positive")
     val, xhat, inv = _layer_norm_arrays(x.data, gamma.data, beta.data, eps)
-    out = Tensor(val, x.requires_grad or gamma.requires_grad or beta.requires_grad,
-                 (x, gamma, beta))
 
     def _bw(g):
         dx = _layer_norm_grads(g, gamma, beta, xhat, inv, x.requires_grad)
         if x.requires_grad:
             x._accumulate(dx)
 
-    out._backward = _bw
-    return out
+    return _node(val, (x, gamma, beta), _bw)
 
 
 def _layer_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
@@ -356,12 +334,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
     cols = cols.reshape(*lead, c_in * kh * kw, oh * ow)
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
     val = (kmat @ cols).reshape(*lead, c_out, oh, ow)
-    parents = [x, kernel]
     if bias is not None:
         bias = as_tensor(bias)
         val = val + bias.data.reshape(c_out, 1, 1)
-        parents.append(bias)
-    out = Tensor(val, any(p.requires_grad for p in parents), tuple(parents))
 
     def _bw(g):
         # summed over leading axes only when there are some: a sum over one
@@ -384,5 +359,4 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
                                                  * g[..., o : o + 1, :, :])
         x._accumulate(dxp[..., padding : padding + h, padding : padding + w])
 
-    out._backward = _bw
-    return out
+    return _node(val, (x, kernel) if bias is None else (x, kernel, bias), _bw)

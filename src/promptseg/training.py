@@ -12,7 +12,7 @@ import numpy as np
 from . import checkpoint
 from .backbone import Backbone, tokenize
 from .prompts import PromptState, trainable_parameters
-from .tensor import ShapeError, Tensor, zero_grads
+from .tensor import ShapeError, Tensor, _node, zero_grads
 
 
 # probability above which a pixel counts as foreground when scoring dice
@@ -105,8 +105,8 @@ def combined_loss(logits: Tensor, mask: np.ndarray, cfg: LossConfig) -> Tensor:
     took.
     """
     mask = _check_mask(logits, mask)
-    out = Tensor(dice_loss(logits, mask, cfg.smooth) * cfg.lambda_dice
-                 + bce_loss(logits, mask) * cfg.lambda_ce, logits.requires_grad, (logits,))
+    val = (dice_loss(logits, mask, cfg.smooth) * cfg.lambda_dice
+           + bce_loss(logits, mask) * cfg.lambda_ce)
 
     def _bw(g):
         p, num, den = _dice_parts(logits.data, mask, cfg.smooth)
@@ -117,8 +117,7 @@ def combined_loss(logits: Tensor, mask: np.ndarray, cfg: LossConfig) -> Tensor:
         g_p += g_den * p
         logits._accumulate(g_p * p * (1.0 - p) + g * cfg.lambda_ce * (p - mask) / p.size)
 
-    out._backward = _bw
-    return out
+    return _node(val, (logits,), _bw)
 
 
 def dice_score(pred_mask: np.ndarray, gt_mask: np.ndarray) -> float:

@@ -335,6 +335,70 @@ class TestExitCodes:
             assert rc == 1, err
             assert str(path) in err and what in err
 
+    def test_malformed_manifest_exits_1_before_training(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_training(*a, **kw):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(runner, "train", no_training)
+        fixture = tmp_path / "fixture"
+        assert cli.main(["gen-data", *SMALL, "--out", str(fixture)]) == 0
+        manifest = fixture / "dataset" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        no_phrase = json.loads(lines[0])
+        del no_phrase["phrase"]
+        broken = [
+            ([ln for ln in lines if '"split": "val"' not in ln], "holds no val sample"),
+            ([], "holds no train sample"),
+            ([*lines[:3], lines[3][:30]], "line 4 is not valid JSON"),
+            ([*lines[:2], "garbage", *lines[2:]], "line 3 is not valid JSON"),
+            ([json.dumps(no_phrase), *lines[1:]], "line 1 lacks 'phrase'"),
+            ([*lines[:5], lines[5].replace('"split": "', '"split": "dev'), *lines[6:]],
+             "line 6 names split 'dev"),
+        ]
+        for text, what in broken:
+            manifest.write_text("".join(ln + "\n" for ln in text))
+            rc = cli.main(["train", *SMALL, "--set", f'data.path="{manifest.parent}"',
+                           "--out", str(tmp_path / "run")])
+            err = capsys.readouterr().err
+            assert rc == 1, err
+            assert str(manifest) in err and what in err
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+    def test_malformed_study_file_exits_1_before_any_trial(self, tmp_path, capsys,
+                                                           monkeypatch):
+        out = tmp_path / "o"
+        sweep_args = ["sweep", *SMALL, "--set", "sweep.steps=1", "--out", str(out)]
+        assert cli.main([*sweep_args, "--set", "sweep.n_trials=2"]) == 0
+        path = out / "study.jsonl"
+        lines = path.read_text().splitlines()
+        header, record = json.loads(lines[0]), json.loads(lines[1])
+        del record["status"]
+        broken = [
+            ("\n".join(lines)[:-20], "line 3 is not valid JSON"),
+            ("", "line 1 is not valid JSON"),
+            ('{"trials": []}', "line 1 lacks 'format'"),
+            (json.dumps(dict(header, format="promptseg-study-v0")),
+             "line 1 has format 'promptseg-study-v0'"),
+            ("\n".join([lines[0], json.dumps(record), lines[2]]), "line 2 lacks 'status'"),
+        ]
+
+        def no_trial(*a, **kw):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(runner, "run_training", no_trial)
+        for text, what in broken:
+            path.write_text(text)
+            rc = cli.main([*sweep_args, "--set", "sweep.n_trials=4"])
+            err = capsys.readouterr().err
+            assert rc == 1, err
+            assert str(path) in err and what in err
+            assert path.read_text() == text
+            rc = cli.main(["report", "--out", str(tmp_path / "rep"), "--study", str(path)])
+            err = capsys.readouterr().err
+            assert rc == 1, err
+            assert str(path) in err and what in err
+
     def test_runtime_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*a, **kw):
             raise RuntimeError("disk on fire")
@@ -443,6 +507,11 @@ class TestAblations:
 
 
 class TestReport:
+    def test_report_without_a_study_exits_1(self, tmp_path, capsys):
+        assert cli.main(["report", "--out", str(tmp_path / "rep")]) == 1
+        assert "--study" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_report_from_study_files(self, tmp_path):
         from promptseg.sweep import default_search_space, quadratic_objective, run_study
 

@@ -194,10 +194,10 @@ class TestAugment:
 
 class TestPersistence:
     def test_round_trip_masks_exact_images_quantized(self, tmp_path):
-        ds = generate_dataset(default_spec(samples_per_split={"train": 4, "val": 2}))
+        ds = generate_dataset(default_spec(samples_per_split={"train": 4, "val": 2, "test": 2}))
         save_dataset(tmp_path / "ds", ds)
         loaded = load_dataset(tmp_path / "ds")
-        assert sorted(loaded) == ["train", "val"]
+        assert sorted(loaded) == ["test", "train", "val"]
         for split in ds:
             assert len(loaded[split]) == len(ds[split])
             for a, b in zip(ds[split], loaded[split]):
@@ -209,7 +209,7 @@ class TestPersistence:
 
     def test_loaded_fixture_round_trips_bit_exactly(self, tmp_path):
         # saving what was loaded reproduces identical files
-        ds = generate_dataset(default_spec(samples_per_split={"train": 2}))
+        ds = generate_dataset(default_spec(samples_per_split={"train": 2, "val": 1, "test": 1}))
         save_dataset(tmp_path / "a", ds)
         first = load_dataset(tmp_path / "a")
         save_dataset(tmp_path / "b", first)

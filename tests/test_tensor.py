@@ -5,18 +5,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from promptseg.backbone import init_block_params, transformer_block
+from promptseg.backbone import BLOCK_PARAMS, init_block_params, transformer_block
 from promptseg.tensor import (
     ConfigError,
     GradientError,
     ShapeError,
     Tensor,
+    add,
+    broadcast_to,
     concat,
     conv2d,
     layer_norm,
     linear,
     mul,
+    relu,
+    reshape,
+    take,
+    transpose,
 )
+from promptseg.training import LossConfig, combined_loss
 
 from helpers import (
     attention,
@@ -311,13 +318,6 @@ class TestTransformerBlock:
             assert max_rel_error(fd, t.grad) < 1e-4
         assert np.abs(params["b.bk"].grad).max() < 1e-12
 
-    def test_frozen_block_keeps_no_graph(self):
-        rng = np.random.default_rng(37)
-        y = transformer_block(_block_params(rng, trainable=False), "b",
-                              Tensor(rng.normal(size=(2, 3, 8))), 2, attn_dropout=0.3, rng=rng)
-        assert not y.requires_grad
-        assert y._backward is None and y._parents == ()
-
     def test_frozen_weights_give_the_input_its_gradient_only(self):
         rng = np.random.default_rng(38)
         params = _block_params(rng, trainable=False)
@@ -560,3 +560,59 @@ class TestConcatTake:
         reduce_sum(out[1:4] * 2.0).backward()
         assert np.array_equal(a.grad, [[0.0, 0.0], [2.0, 2.0]])
         assert np.array_equal(b.grad, [[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]])
+
+
+def _block_node(x, *ws):
+    params = {f"b.{n}": w for n, w in zip(BLOCK_PARAMS, ws)}
+    return transformer_block(params, "b", x, 2, attn_dropout=0.3, rng=np.random.default_rng(37))
+
+
+# every op that builds a graph node: the op over its tensor operands, and their shapes
+NODE_BUILDERS = {
+    "add": (add, [(2, 3), (3,)]),
+    "mul": (mul, [(2, 3), (2, 1)]),
+    "relu": (relu, [(2, 3)]),
+    "reshape": (lambda a: reshape(a, (3, 2)), [(2, 3)]),
+    "transpose": (lambda a: transpose(a, (1, 0)), [(2, 3)]),
+    "broadcast_to": (lambda a: broadcast_to(a, (4, 2, 3)), [(2, 3)]),
+    "take": (lambda a: take(a, np.array([1, 0, 1])), [(2, 3)]),
+    "concat": (lambda *ts: concat(ts, axis=-1), [(2, 3), (2, 1)]),
+    "linear": (linear, [(2, 3), (3, 4), (4,)]),
+    "layer_norm": (layer_norm, [(2, 3), (3,), (3,)]),
+    "conv2d": (lambda x, k, b: conv2d(x, k, b, padding=1), [(2, 1, 4, 4), (2, 1, 3, 3), (2,)]),
+    "transformer_block": (_block_node, [(2, 3, 8)] + [
+        t.shape for t in _block_params(np.random.default_rng(0)).values()]),
+    "combined_loss": (lambda z: combined_loss(z, np.eye(4), LossConfig()), [(4, 4)]),
+}
+
+
+class TestNodeRule:
+    """One rule for every op: over constants it returns a constant, with no
+    parents and no closure; with an operand that requires grad, a node that
+    keeps every operand."""
+
+    @pytest.mark.parametrize("name", NODE_BUILDERS)
+    def test_constant_operands_give_a_constant(self, name):
+        op, shapes = NODE_BUILDERS[name]
+        rng = np.random.default_rng(37)
+        y = op(*(Tensor(rng.normal(size=s)) for s in shapes))
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+
+    @pytest.mark.parametrize("name", NODE_BUILDERS)
+    def test_one_operand_that_requires_grad_keeps_them_all(self, name):
+        op, shapes = NODE_BUILDERS[name]
+        rng = np.random.default_rng(37)
+        operands = [Tensor(rng.normal(size=s)) for s in shapes]
+        operands[-1].requires_grad = True
+        y = op(*operands)
+        assert y.requires_grad and y._backward is not None
+        assert y._parents == tuple(operands)
+
+    @pytest.mark.parametrize("op", [add, mul])
+    def test_a_scalar_operand_is_a_constant_parent(self, op):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = op(x, 2.0)
+        assert y._parents[0] is x
+        assert not y._parents[1].requires_grad and y._parents[1].data == 2.0
+        assert op(Tensor(np.arange(3.0)), 2.0)._parents == ()
