@@ -307,11 +307,28 @@ class Backbone:
 
     # -- encoders ------------------------------------------------------------
 
+    def _encode(self, branch: str, seq: Tensor, prompts, front: bool, layers: int,
+                heads: int, record_trace: bool) -> tuple[Tensor, list[Tensor]]:
+        """Run ``branch``'s blocks over ``seq`` with prompt ``i`` joined before
+        block ``i``, in ``front`` of it (text) or behind it (vision), in place of
+        the previous prompt's slots; past the depth the slots ride along as
+        ordinary tokens.  Gives the output and, if ``record_trace``, each block's."""
+        prompts = prompts or []
+        trace: list[Tensor] = []
+        for i in range(layers):
+            if i < len(prompts):
+                if i > 0:
+                    B = prompts[i - 1].shape[-2]
+                    seq = seq[..., B:, :] if front else seq[..., :-B, :]
+                seq = join_tokens([prompts[i], seq] if front else [seq, prompts[i]])
+            seq = transformer_block(self.params, f"{branch}.layer{i}", seq, heads)
+            if record_trace:
+                trace.append(seq)
+        return seq, trace
+
     def encode_text(self, tokens: np.ndarray, textual_prompts=None,
                     record_trace: bool = False) -> TextEncoding:
         """One phrase; prompts with leading axes give one encoding per index."""
-        from .prompts import inject_textual
-
         cfg = self.cfg
         tokens = np.asarray(tokens)
         if len(tokens) > cfg.max_text_len:
@@ -323,22 +340,14 @@ class Backbone:
             raise TokenizationError(
                 f"sequence must contain exactly one EOS marker, found {len(eos_positions)}"
             )
-        eos = int(eos_positions[0])
-        n = len(tokens)
-        seq = self.params["text.embed"][tokens] + self.params["text.pos"][:n]
-        prompts = textual_prompts or []
-        B = prompts[0].shape[-2] if prompts else 0
-        trace: list[Tensor] = []
-        for i in range(cfg.text_layers):
-            seq = inject_textual(i, seq, prompts)
-            seq = transformer_block(self.params, f"text.layer{i}", seq, cfg.text_heads)
-            if record_trace:
-                trace.append(seq)
-        final_eos = eos + B
-        z = linear(seq[..., final_eos : final_eos + 1, :], self.params["text.proj"]).reshape(
+        seq, trace = self._encode(
+            "text", self.params["text.embed"][tokens] + self.params["text.pos"][:len(tokens)],
+            textual_prompts, True, cfg.text_layers, cfg.text_heads, record_trace)
+        eos = int(eos_positions[0]) + (textual_prompts[0].shape[-2] if textual_prompts else 0)
+        z = linear(seq[..., eos : eos + 1, :], self.params["text.proj"]).reshape(
             *seq.shape[:-2], cfg.joint_width
         )
-        return TextEncoding(z=z, final_seq=seq, eos_index=final_eos, trace=trace)
+        return TextEncoding(z=z, final_seq=seq, eos_index=eos, trace=trace)
 
     def patchify(self, image: np.ndarray) -> np.ndarray:
         """``[3, S, S]`` -> ``[n_patches, 3*ps*ps]``; a stack ``[N, 3, S, S]``
@@ -360,27 +369,17 @@ class Backbone:
 
     def encode_image(self, image: np.ndarray, visual_prompts=None,
                      record_trace: bool = False) -> ImageEncoding:
-        from .prompts import inject_visual
-
         cfg = self.cfg
         patches = Tensor(self.patchify(image))
         E = linear(patches, self.params["vision.patch_proj"], self.params["vision.pos"][1:])
         c0 = (self.params["vision.cls"] + self.params["vision.pos"][0]).reshape(
             1, cfg.vision_width
         )
-        seq = join_tokens([c0, E])
-        prompts = visual_prompts or []
-        body_len = 1 + cfg.n_patches
-        trace: list[Tensor] = []
-        for i in range(cfg.vision_layers):
-            seq = inject_visual(i, seq, prompts, body_len)
-            seq = transformer_block(self.params, f"vision.layer{i}", seq, cfg.vision_heads)
-            if record_trace:
-                trace.append(seq)
+        seq, trace = self._encode("vision", join_tokens([c0, E]), visual_prompts, False,
+                                  cfg.vision_layers, cfg.vision_heads, record_trace)
         z = linear(seq[..., 0:1, :], self.params["vision.proj"]).reshape(
             *seq.shape[:-2], cfg.joint_width)
-        patch_tokens = seq[..., 1:body_len, :]
-        return ImageEncoding(z=z, patch_tokens=patch_tokens, trace=trace)
+        return ImageEncoding(z=z, patch_tokens=seq[..., 1 : 1 + cfg.n_patches, :], trace=trace)
 
     # -- decoder -------------------------------------------------------------
 
@@ -423,8 +422,8 @@ class Backbone:
         one prompt build and one text-encoder pass per distinct phrase; one
         image [3, S, S] with its token array runs as a stack of one.  ``memo``,
         a dict passed empty to the first of a run of forwards under unchanged
-        prompts, keeps the prompts and each phrase's text row without its graph
-        for the rest (not ``cocoop``'s rows: they depend on the images)."""
+        prompts, keeps the prompts and each phrase's text row for the rest (not
+        ``cocoop``'s rows: they depend on the images)."""
         from . import prompts
 
         single = np.ndim(image) == 3
@@ -432,12 +431,10 @@ class Backbone:
             image, tokens = np.asarray(image)[None], [tokens]
         if len(tokens) != len(image):
             raise ShapeError(f"{len(image)} images but {len(tokens)} token arrays")
-        if memo is None:
-            textual, visual = prompts.build_prompts(state, rng=rng)
-        else:
-            if "prompts" not in memo:
-                memo["prompts"] = prompts.build_prompts(state, rng=rng)
-            textual, visual = memo["prompts"]
+        memo = {} if memo is None else memo
+        if "prompts" not in memo:
+            memo["prompts"] = prompts.build_prompts(state, rng=rng)
+        textual, visual = memo["prompts"]
         img_enc = self.encode_image(image, visual_prompts=visual)
         conditioned = state is not None and state.strategy.image_conditioned
         groups: dict[bytes, list[int]] = {}
@@ -449,11 +446,9 @@ class Backbone:
             if conditioned:
                 textual = prompts.cocoop_condition(state, img_enc.z[idx])
                 rows.append(self.encode_text(tokens[idx[0]], textual).z)
-            elif memo is None:
-                rows.append(self.encode_text(tokens[idx[0]], textual).z.reshape(1, -1))
             else:
                 if key not in memo:
-                    memo[key] = Tensor(self.encode_text(tokens[idx[0]], textual).z.data[None])
+                    memo[key] = self.encode_text(tokens[idx[0]], textual).z.reshape(1, -1)
                 rows.append(memo[key])
             row_of[idx] = n_rows + np.arange(len(idx)) if conditioned else n_rows
             n_rows += rows[-1].shape[0]

@@ -158,7 +158,10 @@ def cmd_report(args) -> int:
             entries.append({"strategy": study.strategy,
                             "task": Path(path).stem,
                             "test_dice": best.test_dice})
-        scatter[study.strategy] = sweep_mod.depth_scatter(study.records)
+        try:
+            scatter[study.strategy] = sweep_mod.depth_scatter(study.records)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     rows = sweep_mod.summary_rows(entries)
     text = sweep_mod.render_summary(rows)
     (out / "report.txt").write_text(text + "\n")

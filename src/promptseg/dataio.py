@@ -264,9 +264,17 @@ def _write_ppm(path: Path, image: np.ndarray) -> None:
         f.write("\n")
 
 
+def _read_text(path) -> str:
+    """The text of ``path``; a byte that is not UTF-8 is a ``ConfigError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def _read_tokens(path: Path) -> list[str]:
     tokens = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path).splitlines():
         line = line.split("#", 1)[0]
         tokens.extend(line.split())
     return tokens
@@ -310,16 +318,21 @@ def _read_pgm(path: Path) -> np.ndarray:
     return vals.astype(np.uint8).reshape(h, w)
 
 
-def json_line(path, n: int, line: str, keys) -> dict:
-    """Line ``n`` of the JSON-lines file ``path``, an object holding ``keys``;
-    anything else is a ``ConfigError`` naming the file and the line."""
+def json_line(path, n: int, line: str, types: dict) -> dict:
+    """Line ``n`` of the JSON-lines file ``path``, an object holding exactly
+    the keys of ``types``, each value of its type; anything else is a
+    ``ConfigError`` naming the file and the line."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} line {n} is not valid JSON: {exc.msg}") from None
-    missing = [k for k in keys if not isinstance(rec, dict) or k not in rec]
+    missing = [k for k in types if not isinstance(rec, dict) or k not in rec]
     if missing:
         raise ConfigError(f"{path} line {n} lacks {', '.join(map(repr, missing))}")
+    bad = [k for k in rec if not isinstance(rec[k], types.get(k, ()))]  # () matches nothing
+    if bad:
+        raise ConfigError(f"{path} line {n} holds an unknown or mistyped "
+                          f"{', '.join(map(repr, bad))}")
     return rec
 
 
@@ -351,9 +364,9 @@ def load_dataset(root) -> dict[str, list[SegmentationSample]]:
     is no train, val or test record, or an empty split, is a ``ConfigError``."""
     manifest = Path(root) / "manifest.jsonl"
     splits: dict[str, list[SegmentationSample]] = {}
-    for n, line in enumerate(manifest.read_text().splitlines(), 1):
-        rec = json_line(manifest, n, line,
-                        ("image_path", "mask_path", "phrase", "class_id", "split"))
+    for n, line in enumerate(_read_text(manifest).splitlines(), 1):
+        rec = json_line(manifest, n, line, {"image_path": str, "mask_path": str,
+                                            "phrase": str, "class_id": int, "split": str})
         if rec["split"] not in SPLITS:
             raise ConfigError(f"{manifest} line {n} names split {rec['split']!r}, "
                               f"not one of {', '.join(SPLITS)}")

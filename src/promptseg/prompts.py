@@ -1,13 +1,13 @@
-"""The seven context learners and their injection / coupling mechanics.
+"""The seven context learners: their prompt parameters and coupling mechanics.
 
-Textual prompts are prepended in front of the word embeddings; visual prompts
-are appended after the CLS token and patch embeddings.  Below the prompt depth
-the previous layer's prompt-slot outputs are discarded and fresh parameters
-are injected; at and beyond the depth the slots ride along like ordinary
-tokens.  Multimodal learners derive both modalities' prompts from unified
-prompts through a per-layer coupling function.  Prompts are shared by every
-sample of a stack and repeated over its leading axes where they are injected;
-only cocoop's image-conditioned prompts carry a leading axis of their own.
+``build_prompts`` gives each prompted encoder one prompt per layer below the
+depth; ``Backbone._encode`` injects them (textual prompts in front of the word
+embeddings, visual prompts after the CLS token and patch embeddings, each
+replacing the previous layer's prompt-slot outputs).  Multimodal learners
+derive both modalities' prompts from unified prompts through a per-layer
+coupling function.  Prompts are shared by every sample of a stack and repeated
+over its leading axes where they are injected; only cocoop's image-conditioned
+prompts carry a leading axis of their own.
 
 Everything that differs between the learners is one entry of ``STRATEGIES``.
 """
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .backbone import Backbone, _linear_init, init_block_params, join_tokens, transformer_block
+from .backbone import Backbone, _linear_init, init_block_params, transformer_block
 from .tensor import ConfigError, Tensor, layer_norm, linear, relu
 
 INIT_PHRASE = "a photo of a"
@@ -49,35 +49,6 @@ class PromptState:
     @property
     def strategy(self) -> Strategy:
         return STRATEGIES[self.kind]
-
-
-# -- injection ---------------------------------------------------------------
-
-
-def inject_textual(layer_index: int, seq: Tensor, prompts: list[Tensor]) -> Tensor:
-    """Layer input per the deep textual prompting recursion (prompts in front)."""
-    if not prompts:
-        return seq
-    J = len(prompts)
-    if layer_index == 0:
-        return join_tokens([prompts[0], seq])
-    if layer_index < J:
-        B = prompts[layer_index].shape[-2]
-        return join_tokens([prompts[layer_index], seq[..., B:, :]])
-    return seq
-
-
-def inject_visual(layer_index: int, seq: Tensor, prompts: list[Tensor],
-                  body_len: int) -> Tensor:
-    """Layer input for visual prompting: CLS and patches keep their slots,
-    prompts sit at the tail."""
-    if not prompts:
-        return seq
-    if layer_index == 0:
-        return join_tokens([seq, prompts[0]])
-    if layer_index < len(prompts):
-        return join_tokens([seq[..., :body_len, :], prompts[layer_index]])
-    return seq
 
 
 # -- parameter creation ------------------------------------------------------

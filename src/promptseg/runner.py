@@ -15,10 +15,9 @@ import copy
 import json
 import math
 from dataclasses import fields
-from pathlib import Path
 
 from .backbone import Backbone, BackboneConfig, TokenizationError, tokenize
-from .dataio import SyntheticTaskSpec, generate_dataset, load_dataset, resize_sample
+from .dataio import SyntheticTaskSpec, _read_text, generate_dataset, load_dataset, resize_sample
 from .prompts import KINDS, STRATEGIES, CouplerConfig, init_prompts
 from .sweep import default_search_space
 from .tensor import ConfigError
@@ -75,7 +74,7 @@ def load_config(path=None, overrides=None) -> dict:
     cfg = default_config()
     if path is not None:
         try:
-            node = json.loads(Path(path).read_text())
+            node = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(node, dict):

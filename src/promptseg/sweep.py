@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .dataio import json_line
+from .dataio import _read_text, json_line
 from .tensor import ConfigError
 from .training import NonFiniteLossError
 
@@ -244,21 +245,27 @@ def save_study(path, study: StudyState) -> None:
 
 
 def load_study(path) -> StudyState:
-    """The study ``save_study`` wrote to ``path``; another format, or a line
-    that is not JSON or lacks a key, is a ``ConfigError`` naming the line."""
-    lines = Path(path).read_text().splitlines() or [""]
-    header = json_line(path, 1, lines[0], ("format", "strategy", "seed", "space", "rng_state"))
+    """The study ``save_study`` wrote to ``path``; another format, a line that
+    is not JSON or lacks, adds or mistypes a key, a trial status other than
+    complete or failed, or a malformed search space or sampler state is a
+    ``ConfigError`` naming the line."""
+    lines = _read_text(path).splitlines() or [""]
+    header = json_line(path, 1, lines[0], {"format": str, "strategy": str, "seed": int,
+                                           "space": list, "rng_state": dict})
     if header["format"] != STUDY_FORMAT:
         raise ConfigError(f"{path} line 1 has format {header['format']!r}, not {STUDY_FORMAT!r}")
-    keys = [f.name for f in fields(TrialRecord)]
-    study = StudyState(
-        strategy=header["strategy"],
-        seed=header["seed"],
-        space=SearchSpace.from_json(header["space"]),
-        records=[TrialRecord.from_json(json_line(path, n, ln, keys))
-                 for n, ln in enumerate(lines[1:], 2)],
-    )
-    study.rng.bit_generator.state = header["rng_state"]
+    records = [TrialRecord.from_json(json_line(path, n, ln, get_type_hints(TrialRecord)))
+               for n, ln in enumerate(lines[1:], 2)]
+    for n, rec in enumerate(records, 2):
+        if rec.status not in ("complete", "failed"):
+            raise ConfigError(f"{path} line {n} has status {rec.status!r}")
+    try:
+        study = StudyState(header["strategy"], header["seed"],
+                           SearchSpace.from_json(header["space"]), records)
+        study.rng.bit_generator.state = header["rng_state"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} line 1 holds a malformed search space or sampler state "
+                          f"({type(exc).__name__}: {exc})") from None
     return study
 
 
@@ -330,9 +337,15 @@ def linear_fit(points) -> dict:
 
 
 def depth_scatter(records: list[TrialRecord]) -> dict:
-    """(prompt depth, test dice) pairs for complete trials plus the fitted line."""
-    points = [(float(t.config["prompt_depth"]), t.test_dice)
-              for t in records if t.status == "complete" and t.test_dice is not None]
+    """(prompt depth, test dice) pairs for complete trials plus the fitted line;
+    a complete trial whose config holds no numeric depth is a ``ConfigError``."""
+    points = []
+    for t in records:
+        if t.status == "complete" and t.test_dice is not None:
+            depth = t.config.get("prompt_depth")
+            if not isinstance(depth, (int, float)):
+                raise ConfigError(f"trial {t.trial_id} has prompt_depth {depth!r}")
+            points.append((float(depth), t.test_dice))
     return {"points": points, "fit": linear_fit(points)}
 
 

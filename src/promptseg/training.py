@@ -4,7 +4,7 @@ training loop with its freeze ledger."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from .tensor import ShapeError, Tensor, _node, zero_grads
 THRESHOLD = 0.5
 # AdamW moment decay rates and denominator guard
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-# samples per evaluation forward; its graph (the prompts require grad) sets peak memory
+# samples per evaluation forward; its graph (only a trained upsampler's) sets peak memory
 EVAL_STACK = 4
 
 
@@ -173,10 +173,13 @@ def evaluate(model: Backbone, state: PromptState | None, samples) -> float:
     ``EVAL_STACK``, so each phrase fills one run of stacks and a stack's graph
     stays of bounded size.  The stacks share one ``memo``: the prompts are
     built once per call and each phrase is encoded once (by ``cocoop`` once
-    per stack it is in).
+    per stack it is in).  They forward constant copies of the prompt
+    parameters, so only a trained upsampler builds a graph.
     """
     if not samples:
         return float("nan")
+    if state is not None:
+        state = replace(state, params={n: Tensor(t.data) for n, t in state.params.items()})
     order = sorted(range(len(samples)), key=lambda i: samples[i].phrase)
     scores = np.empty(len(samples))
     memo: dict = {}

@@ -1,8 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from promptseg import cli, runner, sweep, training
 from promptseg.backbone import BackboneConfig
@@ -170,6 +174,41 @@ OUT_OF_DOMAIN = [
     (["--config", "{}/nan.json"], "train.learning_rate"),
     (["--seed", "-1"], "seed"),
 ]
+
+
+def _toy_study(path, strategy="coop", n_trials=2):
+    """A study file written by ``run_study`` on the quadratic objective: no training."""
+    def objective(cfg, seed):
+        v = sweep.quadratic_objective(cfg)
+        return v, v
+
+    sweep.run_study(strategy, sweep.default_search_space(), n_trials, objective, seed=4,
+                    out_path=path)
+    return [json.loads(ln) for ln in path.read_text().splitlines()]
+
+
+def _no_low(header, records):
+    del header["space"][0]["low"]
+
+
+def _no_depth(header, records):
+    del records[0]["config"]["prompt_depth"]
+
+
+# each edit of a study's header and records, and what the error names
+STUDY_EDITS = {
+    "space-entry-without-low": (_no_low, "line 1 holds a malformed search space"),
+    "rng-state-of-no-generator": (lambda h, r: h.update(rng_state={"x": 1}),
+                                  "line 1 holds a malformed search space or sampler state"),
+    "record-with-an-extra-key": (lambda h, r: r[0].update(extra=1),
+                                 "line 2 holds an unknown or mistyped 'extra'"),
+    "string-val-dice": (lambda h, r: r[1].update(val_dice="0.5"),
+                        "line 3 holds an unknown or mistyped 'val_dice'"),
+    "string-header-seed": (lambda h, r: h.update(seed="4"),
+                           "line 1 holds an unknown or mistyped 'seed'"),
+    "unknown-status": (lambda h, r: r[1].update(status="done"), "line 3 has status 'done'"),
+    "config-without-prompt-depth": (_no_depth, "trial 0 has prompt_depth None"),
+}
 
 
 class TestExitCodes:
@@ -399,6 +438,43 @@ class TestExitCodes:
             assert rc == 1, err
             assert str(path) in err and what in err
 
+    @pytest.mark.parametrize("edit", STUDY_EDITS)
+    def test_malformed_study_exits_1_from_report_naming_the_file(self, edit, tmp_path,
+                                                                 capsys):
+        path = tmp_path / "study.jsonl"
+        header, *records = _toy_study(path)
+        change, what = STUDY_EDITS[edit]
+        change(header, records)
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in [header, *records]))
+        rc = cli.main(["report", "--out", str(tmp_path / "rep"), "--study", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert str(path) in err and what in err
+
+    @pytest.mark.parametrize("kind", ["config", "study", "manifest", "image", "mask"])
+    def test_a_byte_that_is_not_utf8_exits_1_naming_the_file(self, kind, tmp_path, capsys):
+        fixture = tmp_path / "fixture"
+        assert cli.main(["gen-data", *SMALL, "--out", str(fixture)]) == 0
+        root = fixture / "dataset"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strategy": "coop"}))
+        study = tmp_path / "study.jsonl"
+        _toy_study(study)
+        path = {"config": config, "study": study, "manifest": root / "manifest.jsonl",
+                "image": root / "images" / "val_0001.ppm",
+                "mask": root / "masks" / "test_0002.pgm"}[kind]
+        raw = path.read_bytes()
+        path.write_bytes(raw[:10] + b"\xff" + raw[11:])
+        if kind == "study":
+            argv = ["report", "--study", str(path)]
+        else:
+            argv = ["train", *SMALL, "--config", str(config),
+                    "--set", f'data.path="{root}"']
+        rc = cli.main([*argv, "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert str(path) in err and "not UTF-8" in err
+
     def test_runtime_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*a, **kw):
             raise RuntimeError("disk on fire")
@@ -538,3 +614,63 @@ class TestReport:
             assert len(scatter[strategy]["points"]) == 12
         csv = (out / "report.csv").read_text()
         assert csv.startswith("strategy,mean,std")
+
+
+# -- corrupted input files -----------------------------------------------------
+
+
+def _corrupted(data, raw: bytes) -> bytes:
+    """``raw`` cut short, with one line dropped, or with one byte changed."""
+    how = data.draw(hst.sampled_from(["truncate", "drop-line", "flip-byte"]))
+    if how == "truncate":
+        return raw[:data.draw(hst.integers(0, len(raw) - 1))]
+    if how == "drop-line":
+        lines = raw.splitlines(keepends=True)
+        k = data.draw(hst.integers(0, len(lines) - 1))
+        return b"".join(lines[:k] + lines[k + 1:])
+    k = data.draw(hst.integers(0, len(raw) - 1))
+    byte = data.draw(hst.integers(0, 255).filter(lambda b: b != raw[k]))
+    return raw[:k] + bytes([byte]) + raw[k + 1:]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A 12-trial study file and a tiny saved fixture, both valid."""
+    root = tmp_path_factory.mktemp("inputs")
+    _toy_study(root / "study.jsonl", n_trials=12)
+    assert cli.main(["gen-data", *SMALL, "--out", str(root / "fixture")]) == 0
+    return root / "study.jsonl", root / "fixture" / "dataset"
+
+
+class TestCorruptedInputs:
+    """A valid file that is cut short, loses a line or has one byte changed
+    makes the command exit 0 or 1, never 2; an exit 1 comes before any
+    optimizer step."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=hst.data())
+    def test_study_file_under_report(self, valid_inputs, data):
+        study, _ = valid_inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "study.jsonl"
+            path.write_bytes(_corrupted(data, study.read_bytes()))
+            rc = cli.main(["report", "--out", str(Path(tmp) / "rep"), "--study", str(path)])
+        assert rc in (0, 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=hst.data())
+    def test_fixture_manifest_under_train(self, valid_inputs, data):
+        _, root = valid_inputs
+        manifest = root / "manifest.jsonl"
+        raw, steps = manifest.read_bytes(), []
+        step = training.AdamW.step
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(training.AdamW, "step", lambda opt: steps.append(step(opt)))
+            manifest.write_bytes(_corrupted(data, raw))
+            try:
+                rc = cli.main(["train", *SMALL, "--set", "train.steps=1",
+                               "--set", f'data.path="{root}"', "--out", tmp])
+            finally:
+                manifest.write_bytes(raw)
+        assert rc in (0, 1)
+        assert len(steps) == (1 if rc == 0 else 0)

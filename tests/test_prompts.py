@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from promptseg import backbone
 from promptseg.backbone import Backbone, BackboneConfig, tokenize
 from promptseg.prompts import (
     INIT_PHRASE,
@@ -9,8 +10,6 @@ from promptseg.prompts import (
     build_prompts,
     cocoop_condition,
     init_prompts,
-    inject_textual,
-    inject_visual,
     trainable_parameters,
 )
 from promptseg.tensor import ConfigError, Tensor
@@ -117,42 +116,47 @@ class TestInit:
 
 
 class TestInjection:
-    def test_textual_prepends_at_layer_zero(self):
-        seq = Tensor(np.ones((5, 8)))
-        prompts = [Tensor(np.zeros((3, 8))), Tensor(np.full((3, 8), 2.0))]
-        out = inject_textual(0, seq, prompts)
-        assert out.shape == (8, 8)
-        assert np.array_equal(out.data[:3], np.zeros((3, 8)))
-        assert np.array_equal(out.data[3:], seq.data)
+    @pytest.mark.parametrize("branch", ["text", "vision"])
+    def test_each_block_gets_its_layers_prompt(self, model, branch, monkeypatch):
+        """Block 0 reads the embedded sequence with prompt 0 in front (text) or
+        behind it (vision); block i below the depth reads the previous block's
+        output with prompt i in place of the previous prompt's slots; every
+        later block reads the previous block's output."""
+        text = branch == "text"
+        width = model.cfg.text_width if text else model.cfg.vision_width
+        B, J = 3, 2
+        inputs, block = [], backbone.transformer_block
 
-    def test_textual_replaces_below_depth(self):
-        seq = Tensor(np.arange(64.0).reshape(8, 8))
-        prompts = [Tensor(np.zeros((3, 8))), Tensor(np.full((3, 8), 2.0))]
-        out = inject_textual(1, seq, prompts)
-        assert np.array_equal(out.data[:3], np.full((3, 8), 2.0))
-        assert np.array_equal(out.data[3:], seq.data[3:])
+        def recording(params, prefix, x, heads):
+            inputs.append(x.data)
+            return block(params, prefix, x, heads)
 
-    def test_textual_passthrough_at_and_beyond_depth(self):
-        seq = Tensor(np.arange(64.0).reshape(8, 8))
-        prompts = [Tensor(np.zeros((3, 8)))]
-        assert inject_textual(1, seq, prompts) is seq
-        assert inject_textual(3, seq, prompts) is seq
+        monkeypatch.setattr(backbone, "transformer_block", recording)
+        tokens = tokenize("a red circle", model.cfg.max_text_len)
+        image = np.random.default_rng(0).random((3, 32, 32))
+        p = model.params
+        if text:
+            encode = lambda prompts: model.encode_text(tokens, prompts, record_trace=True)
+            embedded = p["text.embed"].data[tokens] + p["text.pos"].data[:len(tokens)]
+        else:
+            encode = lambda prompts: model.encode_image(image, prompts, record_trace=True)
+            cls = p["vision.cls"].data + p["vision.pos"].data[0]
+            patches = model.patchify(image) @ p["vision.patch_proj"].data
+            embedded = np.concatenate([cls[None], patches + p["vision.pos"].data[1:]])
+        encode(None)
+        assert np.array_equal(inputs[0], embedded)
 
-    def test_empty_prompts_are_identity(self):
-        seq = Tensor(np.ones((5, 8)))
-        assert inject_textual(0, seq, []) is seq
-        assert inject_visual(0, seq, [], body_len=5) is seq
-
-    def test_visual_appends_and_preserves_cls(self):
-        seq = Tensor(np.arange(40.0).reshape(5, 8))  # body = CLS + 4 patches
-        prompts = [Tensor(np.zeros((2, 8))), Tensor(np.full((2, 8), 3.0))]
-        out0 = inject_visual(0, seq, prompts, body_len=5)
-        assert out0.shape == (7, 8)
-        assert np.array_equal(out0.data[:5], seq.data)
-        longer = Tensor(np.arange(56.0).reshape(7, 8))
-        out1 = inject_visual(1, longer, prompts, body_len=5)
-        assert np.array_equal(out1.data[:5], longer.data[:5])
-        assert np.array_equal(out1.data[5:], np.full((2, 8), 3.0))
+        prompts = [Tensor(np.full((B, width), i + 1.0)) for i in range(J)]
+        join = lambda prompt, seq: np.concatenate([prompt, seq] if text else [seq, prompt])
+        inputs.clear()
+        outputs = [t.data for t in encode(prompts).trace]
+        assert len(inputs) == len(outputs) == 4
+        assert np.array_equal(inputs[0], join(prompts[0].data, embedded))
+        for i in range(1, 4):
+            previous = outputs[i - 1]
+            if i < J:
+                previous = join(prompts[i].data, previous[B:] if text else previous[:-B])
+            assert np.array_equal(inputs[i], previous), i
 
     def test_visual_sequence_length_constant(self, model):
         state = init_prompts("vpt", B=4, J=3, backbone=model, seed=1)

@@ -527,6 +527,26 @@ def test_evaluate_builds_the_prompts_once_and_encodes_each_phrase_once(three_phr
     assert per_stack > len(set(SPANNING))
 
 
+@pytest.mark.parametrize("kind", [*KINDS, None])
+def test_evaluate_builds_no_graph_without_a_trained_upsampler(kind, monkeypatch):
+    """``evaluate`` forwards constant copies of the prompts, so with the
+    upsampler frozen no tensor it builds keeps parents, and the prompts
+    themselves still require grad afterwards."""
+    model = Backbone(BackboneConfig(image_size=16, use_upsampler=False), seed=0)
+    state = None if kind is None else _state(kind, model, 2, 7)
+    nodes, init = [], Tensor.__init__
+
+    def counting(self, data, requires_grad=False, _parents=()):
+        if _parents:
+            nodes.append(self)
+        init(self, data, requires_grad, _parents)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    evaluate(model, state, _split(SPANNING))
+    assert len(nodes) == 0
+    assert state is None or all(t.requires_grad for t in state.params.values())
+
+
 def test_per_sample_reference_takes_logits_beyond_the_range_of_exp(three_phrases, monkeypatch):
     """Logits pushed below -709, where exp(-z) overflows: the reference agrees
     with ``evaluate`` and raises no overflow warning."""
