@@ -115,7 +115,61 @@ class TestInit:
                 assert t.requires_grad, (kind, name)
 
 
+def block_inputs(model, monkeypatch, seq, prompts, front, layers=4):
+    """Run the encoder loop with identity blocks; give each block's input."""
+    inputs = []
+
+    def identity(params, prefix, x, heads):
+        inputs.append(x)
+        return x
+
+    monkeypatch.setattr(backbone, "transformer_block", identity)
+    model._encode("text" if front else "vision", seq, prompts, front, layers, 1, False)
+    return inputs
+
+
 class TestInjection:
+    def test_textual_prepends_at_layer_zero(self, model, monkeypatch):
+        seq = Tensor(np.ones((5, 8)))
+        prompts = [Tensor(np.zeros((3, 8))), Tensor(np.full((3, 8), 2.0))]
+        out = block_inputs(model, monkeypatch, seq, prompts, front=True)[0]
+        assert out.shape == (8, 8)
+        assert np.array_equal(out.data[:3], np.zeros((3, 8)))
+        assert np.array_equal(out.data[3:], seq.data)
+
+    def test_textual_replaces_below_depth(self, model, monkeypatch):
+        seq = Tensor(np.arange(40.0).reshape(5, 8))
+        prompts = [Tensor(np.zeros((3, 8))), Tensor(np.full((3, 8), 2.0))]
+        out = block_inputs(model, monkeypatch, seq, prompts, front=True)[1]
+        assert out.shape == (8, 8)
+        assert np.array_equal(out.data[:3], np.full((3, 8), 2.0))
+        assert np.array_equal(out.data[3:], seq.data)
+
+    def test_textual_passthrough_at_and_beyond_depth(self, model, monkeypatch):
+        seq = Tensor(np.arange(40.0).reshape(5, 8))
+        prompts = [Tensor(np.zeros((3, 8)))]
+        inputs = block_inputs(model, monkeypatch, seq, prompts, front=True)
+        assert len(inputs) == 4
+        assert inputs[1] is inputs[0]
+        assert inputs[3] is inputs[0]
+
+    def test_empty_prompts_are_identity(self, model, monkeypatch):
+        seq = Tensor(np.ones((5, 8)))
+        for front in (True, False):
+            for prompts in (None, []):
+                inputs = block_inputs(model, monkeypatch, seq, prompts, front)
+                assert all(x is seq for x in inputs), (front, prompts)
+
+    def test_visual_appends_and_preserves_cls(self, model, monkeypatch):
+        seq = Tensor(np.arange(40.0).reshape(5, 8))  # body = CLS + 4 patches
+        prompts = [Tensor(np.zeros((2, 8))), Tensor(np.full((2, 8), 3.0))]
+        out0, out1 = block_inputs(model, monkeypatch, seq, prompts, front=False)[:2]
+        assert out0.shape == out1.shape == (7, 8)
+        assert np.array_equal(out0.data[:5], seq.data)
+        assert np.array_equal(out0.data[5:], np.zeros((2, 8)))
+        assert np.array_equal(out1.data[:5], seq.data)
+        assert np.array_equal(out1.data[5:], np.full((2, 8), 3.0))
+
     @pytest.mark.parametrize("branch", ["text", "vision"])
     def test_each_block_gets_its_layers_prompt(self, model, branch, monkeypatch):
         """Block 0 reads the embedded sequence with prompt 0 in front (text) or
