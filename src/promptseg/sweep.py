@@ -338,13 +338,16 @@ def linear_fit(points) -> dict:
 
 def depth_scatter(records: list[TrialRecord]) -> dict:
     """(prompt depth, test dice) pairs for complete trials plus the fitted line;
-    a complete trial whose config holds no numeric depth is a ``ConfigError``."""
+    a complete trial whose config holds no numeric depth, or whose test dice
+    is not a number in [0, 1], is a ``ConfigError``."""
     points = []
     for t in records:
         if t.status == "complete" and t.test_dice is not None:
             depth = t.config.get("prompt_depth")
             if not isinstance(depth, (int, float)):
                 raise ConfigError(f"trial {t.trial_id} has prompt_depth {depth!r}")
+            if not isinstance(t.test_dice, (int, float)) or not 0.0 <= t.test_dice <= 1.0:
+                raise ConfigError(f"trial {t.trial_id} has test_dice {t.test_dice!r}")
             points.append((float(depth), t.test_dice))
     return {"points": points, "fit": linear_fit(points)}
 

@@ -16,11 +16,17 @@ the chain of elementary ops it stands for, and ``layer_norm`` those of numpy's
 is one node too, ``backbone.transformer_block``, built on the array math of
 ``linear`` and ``layer_norm``, and so is the dice + BCE training loss,
 ``training.combined_loss``.
+
+``conv2d`` never holds a stack's im2col columns: each image's columns are one
+C-contiguous copy of a strided view of the padded input, made when that
+image's GEMM runs, and its node keeps only the padded input, from which the
+backward rebuilds each image's columns for the kernel gradient.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -326,26 +332,37 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
         raise ShapeError(
             f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    xp = np.zeros((*lead, c_in, h + 2 * padding, w + 2 * padding))
-    xp[..., padding : padding + h, padding : padding + w] = x.data
-    cols = np.empty((*lead, c_in, kh, kw, oh, ow))  # C-contiguous: the GEMMs' bits rest on it
-    for i, j in product(range(kh), range(kw)):
-        cols[..., i, j, :, :] = xp[..., i : i + oh, j : j + ow]
-    cols = cols.reshape(*lead, c_in * kh * kw, oh * ow)
-    kmat = kernel.data.reshape(c_out, c_in * kh * kw)
-    val = (kmat @ cols).reshape(*lead, c_out, oh, ow)
+    n, taps = prod(lead), c_in * kh * kw
+    xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
+    xp[..., padding : padding + h, padding : padding + w] = x.data.reshape(n, c_in, h, w)
+    # every image's columns [c_in, kh, kw, oh, ow] as one strided view of xp;
+    # an image's C-contiguous copy (the GEMMs' bits rest on it) is made only
+    # while that image's GEMM runs
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (n, c_in, kh, kw, oh, ow), xp.strides[:2] + xp.strides[2:] * 2, writeable=False)
+
+    def columns(k: int) -> np.ndarray:
+        return np.ascontiguousarray(windows[k]).reshape(taps, oh * ow)
+
+    kmat = kernel.data.reshape(c_out, taps)
+    # one GEMM per image, the one numpy's stacked matmul would run for it
+    val = np.empty((n, c_out, oh * ow))
+    for k in range(n):
+        val[k] = kmat @ columns(k)
+    val = val.reshape(*lead, c_out, oh, ow)
     if bias is not None:
         bias = as_tensor(bias)
         val = val + bias.data.reshape(c_out, 1, 1)
 
     def _bw(g):
+        if kernel.requires_grad:
+            # the columns rebuilt image by image, the products summed in image order
+            g2, gk = g.reshape(n, c_out, oh * ow), np.zeros((c_out, taps))
+            for k in range(n):
+                gk += g2[k] @ columns(k).T
+            kernel._accumulate(gk.reshape(kernel.shape))
         # summed over leading axes only when there are some: a sum over one
         # image would turn -0.0 into 0.0
-        if kernel.requires_grad:
-            gk = g.reshape(*lead, c_out, oh * ow) @ cols.swapaxes(-1, -2)
-            if lead:
-                gk = gk.reshape(-1, *gk.shape[-2:]).sum(axis=0)
-            kernel._accumulate(gk.reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             gb = g.sum(axis=(-2, -1))
             bias._accumulate(gb.reshape(-1, c_out).sum(axis=0) if lead else gb)

@@ -1,12 +1,17 @@
-"""Shared test utilities: finite-difference oracles, small fixtures, and the
+"""Shared test utilities: finite-difference oracles, small fixtures, the
 references the fused tensor ops, ``conv2d``, the transformer block, the loss
-node and stacked evaluation are checked against."""
+node and stacked evaluation are checked against, and the reader of the
+checkpoint files ``checkpoint.save_arrays`` writes."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
 from promptseg.backbone import tokenize
+from promptseg.checkpoint import _MAGIC
 from promptseg.tensor import ShapeError, Tensor, as_tensor, layer_norm, linear, mul, relu
 from promptseg.training import THRESHOLD, dice_score
 
@@ -307,3 +312,29 @@ def evaluate_per_sample(model, state, samples) -> float:
         prob = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         scores.append(dice_score(prob > THRESHOLD, s.mask))
     return float(np.mean(scores))
+
+
+# -- the read side of the checkpoint format -----------------------------------
+
+
+def load_arrays(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; a file without the magic, or cut short, raises
+    ``ValueError`` naming it."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != _MAGIC:
+        raise ValueError(f"{path} is not a promptseg checkpoint")
+    # base >= 12, so a file cut inside the length field fails the check too
+    base = 12 + int.from_bytes(raw[4:12], "little")
+    if len(raw) < base:
+        raise ValueError(f"{path}: checkpoint header is cut short")
+    header = json.loads(raw[12:base])
+    out: dict[str, np.ndarray] = {}
+    for entry in header["arrays"]:
+        shape = tuple(entry["shape"])
+        count = int(np.prod(shape))
+        start = base + entry["offset"]
+        if start + 8 * count > len(raw):
+            raise ValueError(f"{path}: checkpoint payload is shorter than its header says")
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
+        out[entry["name"]] = arr.reshape(shape).copy()
+    return out

@@ -10,9 +10,11 @@ from promptseg.backbone import (
     TokenizationError,
     tokenize,
 )
-from promptseg import checkpoint, runner
+from promptseg import runner
 from promptseg.prompts import KINDS, CouplerConfig, init_prompts
 from promptseg.tensor import ConfigError, ShapeError, Tensor
+
+from helpers import load_arrays
 
 
 def small_cfg(**kw):
@@ -307,7 +309,7 @@ class TestCheckpointRoundTrip:
         model = Backbone(small_cfg(), seed=3)
         path = tmp_path / "model.ckpt"
         model.save(path)
-        arrays = checkpoint.load_arrays(path)
+        arrays = load_arrays(path)
         assert list(arrays) == list(model.params)
         for name, t in model.params.items():
             assert arrays[name].shape == t.shape, name

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
-from promptseg.checkpoint import load_arrays, save_arrays
+from promptseg.checkpoint import save_arrays
+
+from helpers import load_arrays
 
 
 def test_round_trip_byte_exact(tmp_path):

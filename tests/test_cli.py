@@ -10,10 +10,11 @@ from hypothesis import strategies as hst
 
 from promptseg import cli, runner, sweep, training
 from promptseg.backbone import BackboneConfig
-from promptseg.checkpoint import load_arrays
 from promptseg.prompts import KINDS, CouplerConfig
 from promptseg.tensor import ConfigError
 from promptseg.training import TrainRunConfig
+
+from helpers import load_arrays
 
 SMALL = [
     "--set", "backbone.image_size=16",
@@ -208,6 +209,11 @@ STUDY_EDITS = {
                            "line 1 holds an unknown or mistyped 'seed'"),
     "unknown-status": (lambda h, r: r[1].update(status="done"), "line 3 has status 'done'"),
     "config-without-prompt-depth": (_no_depth, "trial 0 has prompt_depth None"),
+    # a dice of 1e200 would overflow linear_fit's squares
+    "test-dice-of-1e200": (lambda h, r: r[0].update(test_dice=1e200),
+                           "trial 0 has test_dice 1e+200"),
+    "negative-test-dice": (lambda h, r: r[1].update(test_dice=-0.5),
+                           "trial 1 has test_dice -0.5"),
 }
 
 

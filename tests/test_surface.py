@@ -22,7 +22,6 @@ SRC = Path(promptseg.__file__).parent
 # nothing in the package calls these
 ALLOWED = {
     "Backbone.save": "acceptance criterion 2 compares the checkpoints it writes",
-    "checkpoint.load_arrays": "the read side of the format save_arrays writes, prompts.ckpt's",
     "sweep.compare_tpe_random": "acceptance criterion 7 runs the TPE-vs-random check",
 }
 

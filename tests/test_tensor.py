@@ -504,6 +504,52 @@ class TestConv2d:
 
         assert run(conv2d) == run(conv2d_reference)
 
+    @pytest.mark.parametrize("lead", [(), (1,), (5,), (2, 3)],
+                             ids=["lead0", "lead1", "lead5", "lead2x3"])
+    def test_a_stack_matches_per_image_calls_bit_for_bit(self, lead):
+        """A stack's value and its x, kernel and bias gradients are those of one
+        call per image, with the kernel and bias gradients summed in image
+        order, for several input and output channels."""
+        rng = np.random.default_rng(8)
+        x0 = rng.normal(size=(*lead, 2, 6, 7))
+        k0, b0 = rng.normal(size=(3, 2, 3, 5)), rng.normal(size=3)
+        weights = rng.normal(size=(*lead, 3, 6, 5))
+
+        def run(x_data, w):
+            x, k, b = (Tensor(a.copy(), requires_grad=True) for a in (x_data, k0, b0))
+            y = conv2d(x, k, bias=b, padding=1)
+            reduce_sum(y * w).backward()
+            return y.data, x.grad, k.grad, b.grad
+
+        stacked = run(x0, weights)
+        images = [run(xi, wi) for xi, wi in zip(x0.reshape(-1, 2, 6, 7),
+                                                weights.reshape(-1, 3, 6, 5))]
+        y, gx, gk, gb = (list(parts) for parts in zip(*images))
+        assert stacked[0].tobytes() == np.stack(y).reshape(stacked[0].shape).tobytes()
+        assert stacked[1].tobytes() == np.stack(gx).reshape(x0.shape).tobytes()
+        assert stacked[2].tobytes() == sum(gk[1:], gk[0]).tobytes()
+        assert stacked[3].tobytes() == sum(gb[1:], gb[0]).tobytes()
+
+    def test_a_stack_holds_one_image_of_columns_at_a_time(self):
+        """A stack of 16 32-px images under a 5 by 5 kernel that requires grad:
+        the forward's peak stays below two images' columns plus the input and
+        the output, and beyond its output the node keeps less than one
+        image's columns (it keeps the padded input, not the columns)."""
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(16, 1, 32, 32)))
+        k = Tensor(rng.normal(size=(1, 1, 5, 5)), requires_grad=True)
+        columns = 25 * 32 * 32 * 8  # one image's [25, 32 * 32] float64 columns
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = conv2d(x, k, padding=2)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert peak < 2 * columns + x.data.nbytes + y.data.nbytes
+        assert kept - y.data.nbytes < columns
+
 
 class TestBackward:
     def test_square_derivative(self):

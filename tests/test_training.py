@@ -12,7 +12,6 @@ from promptseg.dataio import SyntheticTaskSpec, generate_dataset
 from promptseg.prompts import KINDS, init_prompts, trainable_parameters
 from promptseg.tensor import ShapeError, Tensor, zero_grads
 from promptseg.training import (
-    EVAL_STACK,
     AdamW,
     FreezeViolationError,
     LossConfig,
@@ -462,31 +461,40 @@ def test_frozen_weights_marked_trainable_change_no_trainable_gradient(three_phra
 
 # phrases interleave, so grouping reorders, and every phrase ends in a partial stack
 INTERLEAVED = "ABACBAC"
-# interleaved too, and sorted AABBBBBBBCC, so phrase B spans three stacks
-SPANNING = "BABBCBBABBC"
+# interleaved too, and sorted A×14 B×19 C×3, so phrase B spans three stacks of
+# 16 (and six of 4), and more phrase-stack pairs than phrases
+SPANNING = "BABACBABABBABABABBACBABABABBABABBBAC"
 
 
 def _split(pattern: str):
-    """Samples whose phrases follow ``pattern``, one letter per phrase, drawn
-    without repeats from a pool of eight samples for each of three phrases."""
+    """Samples whose phrases follow ``pattern``, one letter per phrase in
+    sorted order, drawn without repeats from a pool of twenty samples for
+    each of three phrases."""
     spec = SyntheticTaskSpec(n_classes=3, image_size=16,
-                             samples_per_split={"train": 24}, seed=5, align=4)
+                             samples_per_split={"train": 60}, seed=5, align=4)
     by_phrase: dict[str, list] = {}
     for s in generate_dataset(spec)["train"]:
         by_phrase.setdefault(s.phrase, []).append(s)
-    queues = {letter: iter(group) for letter, group in zip("ABC", by_phrase.values())}
+    queues = {letter: iter(by_phrase[phrase]) for letter, phrase in zip("ABC", sorted(by_phrase))}
     return [next(queues[letter]) for letter in pattern]
 
 
 def _stacks(samples) -> list[list[str]]:
     """The phrases of each stack ``evaluate`` forwards, in order."""
-    phrases = sorted(s.phrase for s in samples)
-    return [phrases[i:i + EVAL_STACK] for i in range(0, len(phrases), EVAL_STACK)]
+    phrases, size = sorted(s.phrase for s in samples), training.EVAL_STACK
+    return [phrases[i:i + size] for i in range(0, len(phrases), size)]
 
 
-@pytest.mark.parametrize("kind", [*KINDS, None])
-def test_stacked_evaluate_matches_per_sample_loop(three_phrases, kind):
+# every kind at the default stack size (under the kind's name) and at 1 and 4
+STACK_CASES = [(kind, size) for kind in [*KINDS, None] for size in (16, 4, 1)]
+
+
+@pytest.mark.parametrize("kind, size", STACK_CASES,
+                         ids=[f"{kind}" if size == 16 else f"{kind}-stack{size}"
+                              for kind, size in STACK_CASES])
+def test_stacked_evaluate_matches_per_sample_loop(three_phrases, kind, size, monkeypatch):
     model, _ = three_phrases
+    monkeypatch.setattr(training, "EVAL_STACK", size)
     samples = _split(SPANNING)
     assert max(sum(s.phrase in stack for stack in _stacks(samples)) for s in samples) >= 3
     state = None
@@ -572,8 +580,9 @@ def test_evaluate_forwards_phrase_sorted_stacks_of_at_most_eval_stack(three_phra
     evaluate(model, None, _split(pattern))
     size = model.cfg.image_size
     for shape, _ in stacks:
-        assert len(shape) == 4 and shape[1:] == (3, size, size) and shape[0] <= EVAL_STACK
-    assert len(stacks) == -(-len(pattern) // EVAL_STACK)
+        assert (len(shape) == 4 and shape[1:] == (3, size, size)
+                and shape[0] <= training.EVAL_STACK)
+    assert len(stacks) == -(-len(pattern) // training.EVAL_STACK)
     # read in forward order, each phrase's samples are one run, so each phrase
     # lies in one contiguous run of stacks
     runs = [phrase for _, phrases in stacks for phrase in phrases]
