@@ -338,8 +338,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
     # every image's columns [c_in, kh, kw, oh, ow] as one strided view of xp;
     # an image's C-contiguous copy (the GEMMs' bits rest on it) is made only
     # while that image's GEMM runs
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (n, c_in, kh, kw, oh, ow), xp.strides[:2] + xp.strides[2:] * 2, writeable=False)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, (kh, kw), axis=(-2, -1)).transpose(0, 1, 4, 5, 2, 3)
 
     def columns(k: int) -> np.ndarray:
         return np.ascontiguousarray(windows[k]).reshape(taps, oh * ow)

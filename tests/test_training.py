@@ -459,7 +459,8 @@ def test_frozen_weights_marked_trainable_change_no_trainable_gradient(three_phra
 
 # -- stacked evaluation against the per-sample loop ----------------------------
 
-# phrases interleave, so grouping reorders, and every phrase ends in a partial stack
+# phrases interleave, so grouping reorders; sorted A×3 B×2 C×2, so at stacks of
+# 4 phrase B crosses the boundary between the two stacks
 INTERLEAVED = "ABACBAC"
 # interleaved too, and sorted A×14 B×19 C×3, so phrase B spans three stacks of
 # 16 (and six of 4), and more phrase-stack pairs than phrases
@@ -566,9 +567,20 @@ def test_per_sample_reference_takes_logits_beyond_the_range_of_exp(three_phrases
     assert repr(evaluate(model, None, samples)) == repr(evaluate_per_sample(model, None, samples))
 
 
-@pytest.mark.parametrize("pattern", [INTERLEAVED, "AABAAAACAA"])
+# each pattern at the default stack size (under the pattern's name) and at 4
+# and 1; only SPANNING crosses a stack boundary at the default
+FORWARD_CASES = [(name, pattern, size)
+                 for name, pattern in [("ABACBAC", INTERLEAVED), ("AABAAAACAA", "AABAAAACAA"),
+                                       ("SPANNING", SPANNING)]
+                 for size in (16, 4, 1)]
+
+
+@pytest.mark.parametrize("pattern, size", [case[1:] for case in FORWARD_CASES],
+                         ids=[name if size == 16 else f"{name}-stack{size}"
+                              for name, _, size in FORWARD_CASES])
 def test_evaluate_forwards_phrase_sorted_stacks_of_at_most_eval_stack(three_phrases, pattern,
-                                                                      monkeypatch):
+                                                                      size, monkeypatch):
+    monkeypatch.setattr(training, "EVAL_STACK", size)
     model, _ = three_phrases
     forward, stacks = model.forward, []
 
@@ -578,11 +590,12 @@ def test_evaluate_forwards_phrase_sorted_stacks_of_at_most_eval_stack(three_phra
 
     monkeypatch.setattr(model, "forward", recording)
     evaluate(model, None, _split(pattern))
-    size = model.cfg.image_size
+    side = model.cfg.image_size
     for shape, _ in stacks:
-        assert (len(shape) == 4 and shape[1:] == (3, size, size)
-                and shape[0] <= training.EVAL_STACK)
-    assert len(stacks) == -(-len(pattern) // training.EVAL_STACK)
+        assert len(shape) == 4 and shape[1:] == (3, side, side)
+    # full stacks of EVAL_STACK samples, then the rest in one
+    assert [shape[0] for shape, _ in stacks] == [min(size, len(pattern) - i)
+                                                for i in range(0, len(pattern), size)]
     # read in forward order, each phrase's samples are one run, so each phrase
     # lies in one contiguous run of stacks
     runs = [phrase for _, phrases in stacks for phrase in phrases]
