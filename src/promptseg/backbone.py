@@ -26,7 +26,6 @@ from .tensor import (
     _layer_norm_grads,
     _linear_weight_grads,
     _node,
-    broadcast_to,
     concat,
     conv2d,
     linear,
@@ -122,14 +121,6 @@ def init_block_params(params: dict, prefix: str, d: int, ff: int, rng) -> None:
         params[f"{prefix}.{name}"] = Tensor(
             _linear_init(rng, *dims.get(name, (d, d))) if kind == "w"
             else np.full(dims.get(name, d), float(kind == "g")))
-
-
-def join_tokens(parts: list[Tensor]) -> Tensor:
-    """Concatenate ``[..., s_i, d]`` sequences along the sequence axis, each
-    repeated over the leading axes it lacks."""
-    lead = np.broadcast_shapes(*(t.shape[:-2] for t in parts))
-    return concat([t if t.shape[:-2] == lead else broadcast_to(t, (*lead, *t.shape[-2:]))
-                   for t in parts], axis=-2)
 
 
 def _fresh(g: np.ndarray) -> np.ndarray:
@@ -320,7 +311,7 @@ class Backbone:
                 if i > 0:
                     B = prompts[i - 1].shape[-2]
                     seq = seq[..., B:, :] if front else seq[..., :-B, :]
-                seq = join_tokens([prompts[i], seq] if front else [seq, prompts[i]])
+                seq = concat([prompts[i], seq] if front else [seq, prompts[i]], axis=-2)
             seq = transformer_block(self.params, f"{branch}.layer{i}", seq, heads)
             if record_trace:
                 trace.append(seq)
@@ -375,7 +366,7 @@ class Backbone:
         c0 = (self.params["vision.cls"] + self.params["vision.pos"][0]).reshape(
             1, cfg.vision_width
         )
-        seq, trace = self._encode("vision", join_tokens([c0, E]), visual_prompts, False,
+        seq, trace = self._encode("vision", concat([c0, E], axis=-2), visual_prompts, False,
                                   cfg.vision_layers, cfg.vision_heads, record_trace)
         z = linear(seq[..., 0:1, :], self.params["vision.proj"]).reshape(
             *seq.shape[:-2], cfg.joint_width)

@@ -159,7 +159,7 @@ def cmd_report(args) -> int:
                             "task": Path(path).stem,
                             "test_dice": best.test_dice})
         try:
-            scatter[study.strategy] = sweep_mod.depth_scatter(study.records)
+            scatter[study.strategy] = sweep_mod.depth_scatter(study)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     rows = sweep_mod.summary_rows(entries)

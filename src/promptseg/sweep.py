@@ -336,16 +336,21 @@ def linear_fit(points) -> dict:
     return {"slope": slope, "intercept": intercept, "r2": r2}
 
 
-def depth_scatter(records: list[TrialRecord]) -> dict:
-    """(prompt depth, test dice) pairs for complete trials plus the fitted line;
-    a complete trial whose config holds no numeric depth, or whose test dice
-    is not a number in [0, 1], is a ``ConfigError``."""
+def depth_scatter(study: StudyState) -> dict:
+    """(prompt depth, test dice) pairs for the study's complete trials plus
+    the fitted line; a complete trial whose depth is not an integer in the
+    range of the study's ``prompt_depth`` dimension, or whose test dice is not
+    a number in [0, 1], is a ``ConfigError``."""
+    dim = next((d for d in study.space.dims if d.name == "prompt_depth"), None)
     points = []
-    for t in records:
+    for t in study.records:
         if t.status == "complete" and t.test_dice is not None:
             depth = t.config.get("prompt_depth")
-            if not isinstance(depth, (int, float)):
-                raise ConfigError(f"trial {t.trial_id} has prompt_depth {depth!r}")
+            if dim is None:
+                raise ConfigError("the search space has no prompt_depth dimension")
+            if type(depth) is not int or not dim.low <= depth <= dim.high:
+                raise ConfigError(f"trial {t.trial_id} has prompt_depth {depth!r}, "
+                                  f"not an integer in [{dim.low}, {dim.high}]")
             if not isinstance(t.test_dice, (int, float)) or not 0.0 <= t.test_dice <= 1.0:
                 raise ConfigError(f"trial {t.trial_id} has test_dice {t.test_dice!r}")
             points.append((float(depth), t.test_dice))

@@ -14,8 +14,8 @@ matrix product), ``layer_norm`` and ``conv2d``.  ``linear`` gives the bits of
 the chain of elementary ops it stands for, and ``layer_norm`` those of numpy's
 ``mean`` and ``var``; the tests hold them to that.  A whole transformer block
 is one node too, ``backbone.transformer_block``, built on the array math of
-``linear`` and ``layer_norm``, and so is the dice + BCE training loss,
-``training.combined_loss``.
+``linear`` and ``layer_norm``, and so is the dice + BCE training loss of a
+stack of samples, ``training.combined_loss``.
 
 ``conv2d`` never holds a stack's im2col columns: each image's columns are one
 C-contiguous copy of a strided view of the padded input, made when that
@@ -208,13 +208,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
                  lambda g: a._accumulate(g.transpose(tuple(np.argsort(axes)))))
 
 
-def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
-    """Read-only view of ``a`` repeated over new leading (or size-1) axes."""
-    a = as_tensor(a)
-    return _node(np.broadcast_to(a.data, shape), (a,),
-                 lambda g: a._accumulate(_unbroadcast(g, a.shape)))
-
-
 def take(a: Tensor, key) -> Tensor:
     """Slice / integer-array indexing with scatter-add backward."""
     a = as_tensor(a)
@@ -228,15 +221,21 @@ def take(a: Tensor, key) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join ``tensors`` along ``axis``, each repeated over the leading axes
+    before ``axis`` that it lacks; its gradient is summed back over them."""
     tensors = tuple(as_tensor(t) for t in tensors)
+    widest = max((t.shape for t in tensors), key=len)
+    parts = [t.data if t.data.ndim == len(widest) else
+             np.broadcast_to(t.data, widest[:len(widest) - t.data.ndim] + t.shape)
+             for t in tensors]
 
     def _bw(g):
-        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+        splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
-                t._accumulate(piece)
+                t._accumulate(_unbroadcast(piece, t.shape))
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _bw)
+    return _node(np.concatenate(parts, axis=axis), tensors, _bw)
 
 
 # -- linear algebra ----------------------------------------------------------

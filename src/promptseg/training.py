@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +62,14 @@ class TrainedArtifacts:
     final_val_dice: float = float("nan")
 
 
-def _check_mask(logits: Tensor, mask: np.ndarray) -> np.ndarray:
+def _rows(logits: Tensor, mask: np.ndarray):
+    """The leading axes of ``logits [..., S, S]`` (none under three axes: one
+    sample), and its values and mask as one row of pixels per sample."""
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != logits.shape:
         raise ShapeError(f"mask shape {mask.shape} does not match logits {logits.shape}")
-    return mask
+    lead = logits.shape[:-2] if len(logits.shape) >= 3 else ()
+    return lead, logits.data.reshape(prod(lead), -1), mask.reshape(prod(lead), -1)
 
 
 def _probability(z: np.ndarray) -> np.ndarray:
@@ -75,47 +79,52 @@ def _probability(z: np.ndarray) -> np.ndarray:
 
 
 def _dice_parts(z: np.ndarray, mask: np.ndarray, smooth: float):
-    """The probabilities, and the numerator and denominator of the dice ratio."""
+    """The probabilities of rows ``z``, and each row's dice numerator and denominator."""
     p = _probability(z)
-    num = (p * mask).sum() * 2.0 + smooth
-    den = (p * p).sum() + float((mask * mask).sum()) + smooth
+    num = (p * mask).sum(axis=-1, keepdims=True) * 2.0 + smooth
+    den = (p * p).sum(axis=-1, keepdims=True) + (mask * mask).sum(axis=-1, keepdims=True) + smooth
     return p, num, den
 
 
-def dice_loss(logits: Tensor, mask: np.ndarray, smooth: float = 1.0) -> np.float64:
-    """Smoothed soft dice on sigmoid probabilities: 1 - (2*sum(p*g)+s)/(sum(p^2)+sum(g^2)+s)."""
-    _, num, den = _dice_parts(logits.data, _check_mask(logits, mask), smooth)
-    return 1.0 - num * np.reciprocal(den)
+def dice_loss(logits: Tensor, mask: np.ndarray, smooth: float = 1.0) -> np.ndarray:
+    """Smoothed soft dice on sigmoid probabilities, one value per sample:
+    1 - (2*sum(p*g)+s)/(sum(p^2)+sum(g^2)+s)."""
+    lead, z, mask = _rows(logits, mask)
+    _, num, den = _dice_parts(z, mask, smooth)
+    return (1.0 - num * np.reciprocal(den)).reshape(lead)
 
 
-def bce_loss(logits: Tensor, mask: np.ndarray) -> np.float64:
-    """Pixel-mean binary cross entropy in the numerically stable logit form."""
-    mask = _check_mask(logits, mask)
-    z = logits.data
-    return (np.maximum(z, 0.0) - z * mask + np.log1p(np.exp(-np.abs(z)))).mean()
+def bce_loss(logits: Tensor, mask: np.ndarray) -> np.ndarray:
+    """Pixel-mean binary cross entropy in the numerically stable logit form,
+    one value per sample."""
+    lead, z, mask = _rows(logits, mask)
+    return (np.maximum(z, 0.0) - z * mask + np.log1p(np.exp(-np.abs(z)))).mean(-1).reshape(lead)
 
 
 def combined_loss(logits: Tensor, mask: np.ndarray, cfg: LossConfig) -> Tensor:
-    """``lambda_dice * dice_loss + lambda_ce * bce_loss`` as one graph node.
+    """``lambda_dice * dice_loss + lambda_ce * bce_loss`` of each sample of
+    ``logits [..., S, S]``, summed in sample order, as one graph node.
 
     The backward redoes, in the same order, the arithmetic of the chain of
-    sigmoid, product, sum and power nodes the loss stands for, so the value
-    and the gradient have that chain's bits: ``np.reciprocal`` and
-    ``np.power`` are the array paths its ``den ** -1.0`` and ``den ** -2.0``
-    took.
+    sigmoid, product, sum and power nodes each sample's loss stands for, so
+    value and gradient have the bits of those chains summed by ``add`` nodes
+    (``np.cumsum`` adds in order; ``np.sum`` would add pairwise):
+    ``np.reciprocal`` and ``np.power`` are the array paths their
+    ``den ** -1.0`` and ``den ** -2.0`` took.
     """
-    mask = _check_mask(logits, mask)
-    val = (dice_loss(logits, mask, cfg.smooth) * cfg.lambda_dice
-           + bce_loss(logits, mask) * cfg.lambda_ce)
+    _, z, target = _rows(logits, mask)
+    val = np.cumsum(dice_loss(logits, mask, cfg.smooth) * cfg.lambda_dice
+                    + bce_loss(logits, mask) * cfg.lambda_ce)[-1]
 
     def _bw(g):
-        p, num, den = _dice_parts(logits.data, mask, cfg.smooth)
+        p, num, den = _dice_parts(z, target, cfg.smooth)
         g_ratio = g * cfg.lambda_dice * -1.0
         g_den = g_ratio * num * -1.0 * np.power(den, -2.0)
-        g_p = g_ratio * np.reciprocal(den) * 2.0 * mask
+        g_p = g_ratio * np.reciprocal(den) * 2.0 * target
         g_p += g_den * p
         g_p += g_den * p
-        logits._accumulate(g_p * p * (1.0 - p) + g * cfg.lambda_ce * (p - mask) / p.size)
+        g_z = g_p * p * (1.0 - p) + g * cfg.lambda_ce * (p - target) / p.shape[-1]
+        logits._accumulate(g_z.reshape(logits.shape))
 
     return _node(val, (logits,), _bw)
 
@@ -141,19 +150,16 @@ class AdamW:
         self.lr = learning_rate
         self.wd = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in self.named_params}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.named_params}
+        # first and second moments, one buffer per parameter, in its order
+        self.m = [np.zeros_like(t.data) for _, t in self.named_params]
+        self.v = [np.zeros_like(t.data) for _, t in self.named_params]
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        for name, p in self.named_params:
-            if name not in self.m:
-                raise KeyError(f"no moment buffers for parameter {name}")
+        for (_, p), m, v in zip(self.named_params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
@@ -233,10 +239,8 @@ def train(model: Backbone, state: PromptState, dataset: dict,
             logits = model.forward(np.stack([s.image for s in batch]),
                                    [tokenize(s.phrase, model.cfg.max_text_len) for s in batch],
                                    state, rng=rng)
-            micro = combined_loss(logits[0], batch[0].mask, loss_cfg)
-            for i in range(1, len(batch)):
-                micro = micro + combined_loss(logits[i], batch[i].mask, loss_cfg)
-            micro = micro * (1.0 / (len(batch) * run_cfg.grad_accum))
+            micro = (combined_loss(logits, np.stack([s.mask for s in batch]), loss_cfg)
+                     * (1.0 / (len(batch) * run_cfg.grad_accum)))
             micro.backward()
             step_loss += micro.item()
             # free this micro-batch's graph before the next forward

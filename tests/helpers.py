@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference oracles, small fixtures, the
-references the fused tensor ops, ``conv2d``, the transformer block, the loss
-node and stacked evaluation are checked against, and the reader of the
-checkpoint files ``checkpoint.save_arrays`` writes."""
+references the fused tensor ops, ``concat``'s repeats, ``conv2d``, the
+transformer block, the loss node and stacked evaluation are checked against,
+and the reader of the checkpoint files ``checkpoint.save_arrays`` writes."""
 
 from __future__ import annotations
 
@@ -12,7 +12,9 @@ import numpy as np
 
 from promptseg.backbone import tokenize
 from promptseg.checkpoint import _MAGIC
-from promptseg.tensor import ShapeError, Tensor, as_tensor, layer_norm, linear, mul, relu
+from promptseg.tensor import (
+    ShapeError, Tensor, _unbroadcast, as_tensor, concat, layer_norm, linear, mul, relu,
+)
 from promptseg.training import THRESHOLD, dice_score
 
 
@@ -99,6 +101,23 @@ def matmul(a, b):
 def linear_chain(x, w, b):
     """``linear`` as the two nodes it stands for."""
     return matmul(x, w) + b
+
+
+def broadcast_to(a, shape):
+    """A read-only view of ``a`` repeated over new leading axes, as one node."""
+    a = as_tensor(a)
+    out = Tensor(np.broadcast_to(a.data, shape), a.requires_grad, (a,))
+    out._backward = lambda g: a._accumulate(_unbroadcast(g, a.shape))
+    return out
+
+
+def concat_chain(tensors, axis: int):
+    """``concat`` over operands of unequal rank as the nodes it stands for: a
+    ``broadcast_to`` of each operand to the leading axes before ``axis`` of
+    them all, then a join of operands that need no repeat."""
+    lead = np.broadcast_shapes(*(t.shape[:axis] for t in tensors))
+    return concat([t if t.shape[:axis] == lead else
+                   broadcast_to(t, (*lead, *t.shape[axis:])) for t in tensors], axis=axis)
 
 
 def attention_chain(q, k, v, heads: int, mask):

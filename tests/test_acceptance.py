@@ -558,8 +558,7 @@ def test_criterion_8_upsampler_ablation(capsys):
 def test_criterion_9_depth_report_matches_regression_oracle(capsys,
                                                             sweep_setup):
     def run():
-        records = sweep_setup["full"].records
-        scatter = depth_scatter(records)
+        scatter = depth_scatter(sweep_setup["full"])
         points = scatter["points"]
         assert len(points) == 20
         x = np.array([p[0] for p in points])

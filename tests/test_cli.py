@@ -214,6 +214,13 @@ STUDY_EDITS = {
                            "trial 0 has test_dice 1e+200"),
     "negative-test-dice": (lambda h, r: r[1].update(test_dice=-0.5),
                            "trial 1 has test_dice -0.5"),
+    # a depth of 1e200 would overflow linear_fit's squares
+    "depth-of-1e200": (lambda h, r: r[0]["config"].update(prompt_depth=1e200),
+                       "trial 0 has prompt_depth 1e+200, not an integer in [1, 3]"),
+    "depth-beyond-depth-max": (lambda h, r: r[1]["config"].update(prompt_depth=7),
+                               "trial 1 has prompt_depth 7, not an integer in [1, 3]"),
+    "fractional-depth": (lambda h, r: r[0]["config"].update(prompt_depth=1.5),
+                         "trial 0 has prompt_depth 1.5"),
 }
 
 
@@ -344,7 +351,7 @@ class TestExitCodes:
 
     def test_non_finite_loss_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(training, "combined_loss",
-                            lambda logits, mask, cfg: logits[0, 0] * float("nan"))
+                            lambda logits, mask, cfg: logits[0, 0, 0] * float("nan"))
         rc = cli.main(["train", *SMALL, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "non-finite loss nan at step 1" in capsys.readouterr().err

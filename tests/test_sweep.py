@@ -338,7 +338,7 @@ class TestReporting:
             [({"prompt_depth": d, "learning_rate": 1e-4}, 0.5 + 0.1 * d)
              for d in (1, 2, 3, 1, 2)]
         )
-        scatter = depth_scatter(records)
+        scatter = depth_scatter(StudyState("coop", 0, default_search_space(), records))
         assert len(scatter["points"]) == 5
         assert scatter["fit"]["slope"] == pytest.approx(0.1, abs=1e-12)
 

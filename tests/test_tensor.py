@@ -12,7 +12,6 @@ from promptseg.tensor import (
     ShapeError,
     Tensor,
     add,
-    broadcast_to,
     concat,
     conv2d,
     layer_norm,
@@ -28,6 +27,7 @@ from promptseg.training import LossConfig, combined_loss
 from helpers import (
     attention,
     attention_chain,
+    concat_chain,
     conv2d_reference,
     finite_difference,
     layer_norm_reference,
@@ -398,6 +398,21 @@ class TestFusedMatchesChain:
         self._assert_same_bits(arrays, lambda *t: reduce_sum(linear(*t) * weights),
                                lambda *t: reduce_sum(chain(*t) * weights))
 
+    @pytest.mark.parametrize("shapes", [
+        [(2, 4), (3, 5, 4)],
+        [(3, 5, 4), (2, 4), (3, 1, 4)],
+        [(3, 2, 4), (3, 5, 4)],
+        [(2, 4), (3, 2, 4), (2, 3, 5, 4)],
+    ], ids=["lacks-lead", "own-lead-between", "no-repeat", "lacks-two-axes"])
+    def test_concat_repeats_operands_as_broadcast_to_would(self, shapes):
+        rng = np.random.default_rng(36)
+        arrays = [rng.normal(size=s) for s in shapes]
+        widest = max(shapes, key=len)
+        weights = rng.normal(size=(*widest[:-2], sum(s[-2] for s in shapes), widest[-1]))
+        self._assert_same_bits(arrays,
+                               lambda *t: reduce_sum(concat(t, axis=-2) * weights),
+                               lambda *t: reduce_sum(concat_chain(t, axis=-2) * weights))
+
     def test_layer_norm_matches_numpy_mean_and_var(self):
         rng = np.random.default_rng(34)
         arrays = [rng.normal(size=(2, 5, 7)), rng.normal(size=7), rng.normal(size=7)]
@@ -620,9 +635,9 @@ NODE_BUILDERS = {
     "relu": (relu, [(2, 3)]),
     "reshape": (lambda a: reshape(a, (3, 2)), [(2, 3)]),
     "transpose": (lambda a: transpose(a, (1, 0)), [(2, 3)]),
-    "broadcast_to": (lambda a: broadcast_to(a, (4, 2, 3)), [(2, 3)]),
     "take": (lambda a: take(a, np.array([1, 0, 1])), [(2, 3)]),
     "concat": (lambda *ts: concat(ts, axis=-1), [(2, 3), (2, 1)]),
+    "concat-repeat": (lambda *ts: concat(ts, axis=-2), [(2, 3), (4, 5, 3)]),
     "linear": (linear, [(2, 3), (3, 4), (4,)]),
     "layer_norm": (layer_norm, [(2, 3), (3,), (3,)]),
     "conv2d": (lambda x, k, b: conv2d(x, k, b, padding=1), [(2, 1, 4, 4), (2, 1, 3, 3), (2,)]),

@@ -162,6 +162,44 @@ class TestCombinedLoss:
         assert built == [loss]
         assert loss._parents == (logits,)
 
+    @pytest.mark.parametrize("lead", [(n,) for n in range(1, 11)] + [(2, 5)],
+                             ids=lambda lead: "x".join(map(str, lead)))
+    def test_a_stack_gives_the_bits_of_one_call_per_sample(self, lead):
+        """One node over ``[..., S, S]`` against one call per sample summed in
+        sample order by ``add`` nodes."""
+        rng = np.random.default_rng([68, *lead])
+        # per-sample losses from about 1 to about 1e4
+        z = rng.normal(0.0, 1.0, (*lead, 5, 7)) * 10.0 ** rng.uniform(0, 4, (*lead, 1, 1))
+        masks = (rng.random((*lead, 5, 7)) > 0.5).astype(float)
+        cfg = LossConfig(0.7, 1.3, smooth=1e-3)
+        results = []
+        for stacked in (True, False):
+            logits = Tensor(z, requires_grad=True)
+            if stacked:
+                loss = combined_loss(logits, masks, cfg)
+            else:
+                terms = [combined_loss(logits[i], masks[i], cfg) for i in np.ndindex(*lead)]
+                loss = terms[0]
+                for t in terms[1:]:
+                    loss = loss + t
+                per = np.array([t.item() for t in terms])
+                # from 8 samples on, numpy's pairwise sum of these would differ
+                assert len(per) < 8 or np.sum(per) != loss.item()
+            loss = loss * (1.0 / 8)
+            loss.backward()
+            results.append((loss.data.tobytes(), logits.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_dice_and_bce_give_one_value_per_sample(self):
+        rng = np.random.default_rng(6)
+        logits = Tensor(rng.normal(size=(2, 3, 4, 4)))
+        masks = (rng.random((2, 3, 4, 4)) > 0.5).astype(float)
+        dice, bce = dice_loss(logits, masks), bce_loss(logits, masks)
+        assert dice.shape == bce.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            one = Tensor(logits.data[i])
+            assert dice[i] == dice_loss(one, masks[i]) and bce[i] == bce_loss(one, masks[i])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_saturated_logits_do_not_overflow(self):
         mask = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -217,12 +255,19 @@ class TestAdamW:
             opt.step()
         assert p.data == pytest.approx(2.0 * (1.0 - lr * wd) ** n, rel=1e-12)
 
-    def test_missing_moment_buffer(self):
-        p = Tensor(np.asarray(1.0), requires_grad=True)
-        opt = AdamW([("p", p)], learning_rate=0.1)
-        opt.named_params.append(("q", Tensor(np.asarray(1.0), requires_grad=True)))
-        with pytest.raises(KeyError):
-            opt.step()
+    def test_parameters_sharing_a_name_keep_their_own_moments(self):
+        def stepped(named):
+            opt = AdamW(named, learning_rate=0.1, weight_decay=0.01)
+            for grad in (3.0, -1.0):
+                for _, t in named:
+                    t.grad = np.asarray(grad * t.data)
+                opt.step()
+            return [t.data.item() for _, t in named]
+
+        alone = [stepped([("p", Tensor(np.asarray(x), requires_grad=True))])[0]
+                 for x in (1.0, 2.0)]
+        shared = stepped([("p", Tensor(np.asarray(x), requires_grad=True)) for x in (1.0, 2.0)])
+        assert shared == alone
 
     def test_zero_grad_clears(self):
         p = Tensor(np.asarray(1.0), requires_grad=True)
@@ -318,8 +363,8 @@ class TestTrainLoop:
         def nan_at_step_two(logits, mask, cfg):
             calls.append(1)
             loss = original(logits, mask, cfg)
-            # micro_batch * grad_accum = 4 losses per step; the 5th is step 2's first
-            return loss * float("nan") if len(calls) == 5 else loss
+            # one loss per micro-batch, grad_accum = 2 per step; the 3rd is step 2's first
+            return loss * float("nan") if len(calls) == 3 else loss
 
         after_step_one = {}
 
@@ -401,18 +446,20 @@ def _state(kind, model, depth, seed):
 
 def _gradients(model, state, batch, batched: bool):
     """Loss and trainable gradients of one micro-batch as ``train`` scales it;
-    ``batched`` runs one forward over the stack, else one per sample."""
+    ``batched`` runs one forward and one loss over the stack, else one forward
+    and one loss per sample, summed by ``add`` nodes."""
     params = [t for _, t in trainable_parameters(state, model)]
     zero_grads(params)
     tokens = [tokenize(s.phrase, model.cfg.max_text_len) for s in batch]
     if batched:
+        # as ``train`` scores a micro-batch: one loss node over the stack
         logits = model.forward(np.stack([s.image for s in batch]), tokens, state)
-        per_sample = [logits[i] for i in range(len(batch))]
+        loss = combined_loss(logits, np.stack([s.mask for s in batch]), LossConfig())
     else:
         per_sample = [model.forward(s.image, t, state) for s, t in zip(batch, tokens)]
-    loss = combined_loss(per_sample[0], batch[0].mask, LossConfig())
-    for z, s in zip(per_sample[1:], batch[1:]):
-        loss = loss + combined_loss(z, s.mask, LossConfig())
+        loss = combined_loss(per_sample[0], batch[0].mask, LossConfig())
+        for z, s in zip(per_sample[1:], batch[1:]):
+            loss = loss + combined_loss(z, s.mask, LossConfig())
     loss = loss * (1.0 / len(batch))
     loss.backward()
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
