@@ -21,7 +21,7 @@ from .dataio import SyntheticTaskSpec, _read_text, generate_dataset, load_datase
 from .prompts import KINDS, STRATEGIES, CouplerConfig, init_prompts
 from .sweep import default_search_space
 from .tensor import ConfigError
-from .training import LossConfig, TrainRunConfig, evaluate, train
+from .training import LossConfig, TrainRunConfig, train
 
 
 def _defaults(cls, *skip: str) -> dict:
@@ -229,8 +229,7 @@ def run_training(cfg: dict, out_dir=None, dataset=None, seed: int | None = None)
     state = build_state(cfg, model, seed=seed)
     run_cfg = build_run_cfg(cfg, seed=seed)
     artifacts = train(model, state, dataset, run_cfg, out_dir=out_dir)
-    test_dice = evaluate(model, state, dataset.get("test", []))
-    return artifacts, test_dice, model, state
+    return artifacts, artifacts.final_test_dice, model, state
 
 
 def make_objective(cfg: dict, dataset: dict):

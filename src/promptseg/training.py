@@ -60,6 +60,7 @@ class TrainedArtifacts:
     metrics_path: str | None = None
     final_train_dice: float = float("nan")
     final_val_dice: float = float("nan")
+    final_test_dice: float = float("nan")
 
 
 def _rows(logits: Tensor, mask: np.ndarray):
@@ -166,19 +167,25 @@ class AdamW:
             v += (1.0 - BETA2) * g * g
             mhat = m / bc1
             vhat = v / bc2
-            p.data = p.data - self.lr * (mhat / (np.sqrt(vhat) + EPS) + self.wd * p.data)
+            update = self.lr * (mhat / (np.sqrt(vhat) + EPS) + self.wd * p.data)
+            # a 0-d parameter's arithmetic gives a numpy scalar: keep an array
+            p.data = np.asarray(p.data - update)
 
     def zero_grad(self) -> None:
         zero_grads(t for _, t in self.named_params)
 
 
-def evaluate(model: Backbone, state: PromptState | None, samples) -> float:
+def evaluate(model: Backbone, state: PromptState | None, samples,
+             memo: dict | None = None) -> float:
     """Mean dice over samples at the ``THRESHOLD`` probability.
 
     The samples, sorted by phrase, are forwarded in stacks of at most
     ``EVAL_STACK``, so each phrase fills one run of stacks.  The stacks
-    share one ``memo``: the prompts are built once per call and each phrase
-    is encoded once (by ``cocoop`` once per stack it is in).  They forward
+    share one ``memo``, with ``Backbone.forward``'s contract: the prompts
+    are built once and each phrase is encoded once (by ``cocoop`` once per
+    stack it is in).  A caller may pass one dict to successive calls, on any
+    splits, as long as the prompts do not change between them; without one,
+    each call starts an empty memo.  The stacks forward
     constant copies of the prompt parameters, so only a trained upsampler
     builds a graph: 4 nodes per stack, whose ``conv2d`` keeps the stack's
     padded logits, not its im2col columns.  Memory is bounded by one
@@ -190,7 +197,7 @@ def evaluate(model: Backbone, state: PromptState | None, samples) -> float:
         state = replace(state, params={n: Tensor(t.data) for n, t in state.params.items()})
     order = sorted(range(len(samples)), key=lambda i: samples[i].phrase)
     scores = np.empty(len(samples))
-    memo: dict = {}
+    memo = {} if memo is None else memo
     for start in range(0, len(order), EVAL_STACK):
         stack = order[start:start + EVAL_STACK]
         # keep only the logits, so the stack's graph is freed before the next forward
@@ -228,6 +235,8 @@ def train(model: Backbone, state: PromptState, dataset: dict,
 
     metrics: list[dict] = []
     loss_cfg = run_cfg.loss
+    # the final evaluations' memo: filled only after the last optimizer step
+    final_memo: dict = {}
     for step in range(1, run_cfg.steps + 1):
         opt.zero_grad()
         step_loss = 0.0
@@ -248,9 +257,11 @@ def train(model: Backbone, state: PromptState, dataset: dict,
         if not np.isfinite(step_loss):
             raise NonFiniteLossError(f"non-finite loss {step_loss} at step {step}")
         opt.step()
-        evaluated = step % run_cfg.eval_every == 0 or step == run_cfg.steps
+        last = step == run_cfg.steps
+        evaluated = step % run_cfg.eval_every == 0 or last
         metrics.append({"step": step, "loss": step_loss,
-                        "dice": evaluate(model, state, val_samples) if evaluated else None,
+                        "dice": (evaluate(model, state, val_samples, final_memo if last else None)
+                                 if evaluated else None),
                         "lr": run_cfg.learning_rate})
         if on_step is not None:
             on_step(step, model, state)
@@ -266,10 +277,11 @@ def train(model: Backbone, state: PromptState, dataset: dict,
     artifacts = TrainedArtifacts(
         metrics=metrics,
         checkpoint_arrays=arrays,
-        final_train_dice=evaluate(model, state, train_samples),
         # the last step always evaluates val, and nothing has changed since
         final_val_dice=(metrics[-1]["dice"] if metrics
-                        else evaluate(model, state, val_samples)),
+                        else evaluate(model, state, val_samples, final_memo)),
+        final_train_dice=evaluate(model, state, train_samples, final_memo),
+        final_test_dice=evaluate(model, state, dataset.get("test", []), final_memo),
     )
     if out_dir is not None:
         out = Path(out_dir)

@@ -269,6 +269,14 @@ class TestAdamW:
         shared = stepped([("p", Tensor(np.asarray(x), requires_grad=True)) for x in (1.0, 2.0)])
         assert shared == alone
 
+    def test_a_0d_parameter_stays_an_array_that_a_view_writes_through(self):
+        p = Tensor(np.asarray(1.0), requires_grad=True)
+        p.grad = np.asarray(1.0)
+        AdamW([("p", p)], learning_rate=0.1, weight_decay=0.01).step()
+        assert type(p.data) is np.ndarray and p.data.shape == ()
+        p.data.reshape(-1)[0] = 5.0
+        assert p.data == 5.0
+
     def test_zero_grad_clears(self):
         p = Tensor(np.asarray(1.0), requires_grad=True)
         p.grad = np.asarray(3.0)
@@ -341,17 +349,36 @@ class TestTrainLoop:
     def test_val_evaluated_once_at_the_last_step(self, tiny_run, monkeypatch):
         model, ds = tiny_run
         state = init_prompts("coop", B=2, J=1, backbone=model, seed=4)
+        ds = {**ds, "test": ds["train"][:3]}
         calls = []
 
-        def counting(model, state, samples):
-            calls.append(len(samples))
-            return evaluate(model, state, samples)
+        def counting(model, state, samples, memo=None):
+            calls.append((len(samples), memo))
+            return evaluate(model, state, samples, memo)
 
         monkeypatch.setattr(training, "evaluate", counting)
         art = train(model, state, ds, self._cfg(5))
-        # one val pass for the step-5 record, one train pass for final_train_dice
-        assert calls == [len(ds["val"]), len(ds["train"])]
+        # one val pass for the step-5 record, then train and test for the
+        # final dice, all three under one memo
+        assert [n for n, _ in calls] == [len(ds["val"]), len(ds["train"]), len(ds["test"])]
+        memo = calls[0][1]
+        assert isinstance(memo, dict) and all(m is memo for _, m in calls)
         assert art.final_val_dice == art.metrics[-1]["dice"]
+
+    def test_no_memo_crosses_an_optimizer_step(self, tiny_run, monkeypatch):
+        model, ds = tiny_run
+        state = init_prompts("coop", B=2, J=1, backbone=model, seed=4)
+        memos = []
+
+        def recording(model, state, samples, memo=None):
+            memos.append(memo)
+            return evaluate(model, state, samples, memo)
+
+        monkeypatch.setattr(training, "evaluate", recording)
+        train(model, state, ds, self._cfg(10))
+        # val at steps 5 and 10, then train and test
+        assert len(memos) == 4 and memos[0] is None
+        assert all(m is memos[1] for m in memos[1:])
 
     def test_non_finite_loss_stops_before_the_optimizer_step(self, tiny_run, tmp_path,
                                                              monkeypatch):
@@ -564,6 +591,17 @@ def test_evaluate_builds_the_prompts_once_and_encodes_each_phrase_once(three_phr
     model, _ = three_phrases
     samples = _split(SPANNING)
     state = None if kind is None else _state(kind, model, 2, 7)
+    builds, encodes = _count_prompt_builds_and_text_passes(model, monkeypatch)
+    evaluate(model, state, samples)
+    assert len(builds) == 1
+    per_stack = sum(len(set(stack)) for stack in _stacks(samples))
+    assert len(encodes) == (per_stack if kind == "cocoop" else len(set(SPANNING)))
+    assert per_stack > len(set(SPANNING))
+
+
+def _count_prompt_builds_and_text_passes(model, monkeypatch):
+    """Lists that each call of ``prompts.build_prompts`` and of the model's
+    ``encode_text`` appends to."""
     build, encode, builds, encodes = prompts.build_prompts, model.encode_text, [], []
 
     def counted_build(*args, **kwargs):
@@ -576,11 +614,60 @@ def test_evaluate_builds_the_prompts_once_and_encodes_each_phrase_once(three_phr
 
     monkeypatch.setattr(prompts, "build_prompts", counted_build)
     monkeypatch.setattr(model, "encode_text", counted_encode)
-    evaluate(model, state, samples)
+    return builds, encodes
+
+
+FINAL_CASES = [(kind, size) for kind in [*KINDS, None] for size in (16, 1)]
+
+
+@pytest.mark.parametrize("kind, size", FINAL_CASES,
+                         ids=[f"{kind}" if size == 16 else f"{kind}-stack{size}"
+                              for kind, size in FINAL_CASES])
+def test_final_evaluations_build_the_prompts_once_and_encode_each_phrase_once(
+        three_phrases, kind, size, monkeypatch):
+    """After the last optimizer step, the val, train and test evaluations of
+    one ``train`` build the prompts once between them and encode each phrase
+    once in total; cocoop runs one pass per phrase of each stack of each
+    split.  Without prompts (``None``) there is nothing to train: the three
+    splits go through ``evaluate`` with one dict, as ``train`` passes them."""
+    model, _ = three_phrases
+    monkeypatch.setattr(training, "EVAL_STACK", size)
+    # 20 train samples, two stacks of 16; the test split lacks phrase C
+    samples = _split(SPANNING[:20] + INTERLEAVED + "BBA")
+    dataset = {"train": samples[:20], "val": samples[20:27], "test": samples[27:]}
+    builds, encodes = _count_prompt_builds_and_text_passes(model, monkeypatch)
+    if kind is None:
+        memo: dict = {}
+        for split in ("val", "train", "test"):
+            evaluate(model, None, dataset[split], memo)
+    else:
+        step = AdamW.step
+
+        def forgetting(opt):
+            step(opt)
+            builds.clear()
+            encodes.clear()
+
+        monkeypatch.setattr(AdamW, "step", forgetting)
+        train(model, _state(kind, model, 2, 7), dataset,
+              TrainRunConfig(steps=2, micro_batch=2, grad_accum=1, eval_every=10))
     assert len(builds) == 1
-    per_stack = sum(len(set(stack)) for stack in _stacks(samples))
-    assert len(encodes) == (per_stack if kind == "cocoop" else len(set(SPANNING)))
-    assert per_stack > len(set(SPANNING))
+    per_stack = sum(len(set(stack)) for split in dataset.values() for stack in _stacks(split))
+    assert len(encodes) == (per_stack if kind == "cocoop" else 3)
+
+
+@pytest.mark.parametrize("kind", [*KINDS, None])
+def test_evaluate_with_a_memo_another_split_filled_matches_a_fresh_call(three_phrases, kind):
+    model, _ = three_phrases
+    state = None if kind is None else _state(kind, model, 2, 7)
+    samples = _split("AABAB" + INTERLEAVED)
+    # phrase C is only in the second split
+    first, second = samples[:5], samples[5:]
+    memo: dict = {}
+    evaluate(model, state, first, memo)
+    built = memo["prompts"]
+    assert repr(evaluate(model, state, second, memo)) == repr(evaluate(model, state, second))
+    assert memo["prompts"] is built
 
 
 @pytest.mark.parametrize("kind", [*KINDS, None])
