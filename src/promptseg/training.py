@@ -235,8 +235,9 @@ def train(model: Backbone, state: PromptState, dataset: dict,
 
     metrics: list[dict] = []
     loss_cfg = run_cfg.loss
-    # the final evaluations' memo: filled only after the last optimizer step
-    final_memo: dict = {}
+    # one memo per set of prompts: a fresh one after each optimizer step, and
+    # the last one serves the final evaluations
+    memo: dict = {}
     for step in range(1, run_cfg.steps + 1):
         opt.zero_grad()
         step_loss = 0.0
@@ -257,11 +258,10 @@ def train(model: Backbone, state: PromptState, dataset: dict,
         if not np.isfinite(step_loss):
             raise NonFiniteLossError(f"non-finite loss {step_loss} at step {step}")
         opt.step()
-        last = step == run_cfg.steps
-        evaluated = step % run_cfg.eval_every == 0 or last
+        memo = {}
+        evaluated = step % run_cfg.eval_every == 0 or step == run_cfg.steps
         metrics.append({"step": step, "loss": step_loss,
-                        "dice": (evaluate(model, state, val_samples, final_memo if last else None)
-                                 if evaluated else None),
+                        "dice": evaluate(model, state, val_samples, memo) if evaluated else None,
                         "lr": run_cfg.learning_rate})
         if on_step is not None:
             on_step(step, model, state)
@@ -279,9 +279,9 @@ def train(model: Backbone, state: PromptState, dataset: dict,
         checkpoint_arrays=arrays,
         # the last step always evaluates val, and nothing has changed since
         final_val_dice=(metrics[-1]["dice"] if metrics
-                        else evaluate(model, state, val_samples, final_memo)),
-        final_train_dice=evaluate(model, state, train_samples, final_memo),
-        final_test_dice=evaluate(model, state, dataset.get("test", []), final_memo),
+                        else evaluate(model, state, val_samples, memo)),
+        final_train_dice=evaluate(model, state, train_samples, memo),
+        final_test_dice=evaluate(model, state, dataset.get("test", []), memo),
     )
     if out_dir is not None:
         out = Path(out_dir)

@@ -52,10 +52,7 @@ CONFIGS = hst.fixed_dictionaries({
 
 def _finite_difference_agrees(model, state, batch, which: int, coord: int) -> bool:
     """One trainable coordinate's gradient of a micro-batch loss, as ``train``
-    builds it without dropout, against a central difference at h = 1e-5,
-    1e-6 or 1e-7.  A ReLU input within h of 0 puts a kink of the loss inside
-    [x - h, x + h], and the difference there mixes two slopes; a smaller h
-    steps inside the piece the gradient is taken on."""
+    builds it without dropout, against a central difference."""
     params = [t for _, t in trainable_parameters(state, model)]
     p = params[which % len(params)]
     k, trained = coord % p.data.size, p.data
@@ -74,9 +71,10 @@ def _finite_difference_agrees(model, state, batch, which: int, coord: int) -> bo
     loss().backward()
     grad = 0.0 if p.grad is None else p.grad.reshape(-1)[k]
     zero_grads(params)
-    fds = [(loss(h).item() - loss(-h).item()) / (2 * h) for h in (1e-5, 1e-6, 1e-7)]
+    h = 1e-5
+    fd = (loss(h).item() - loss(-h).item()) / (2 * h)
     p.data = trained
-    return any(abs(grad - fd) <= 1e-4 * max(abs(grad), abs(fd), 1e-6) for fd in fds)
+    return abs(grad - fd) <= 1e-4 * max(abs(grad), abs(fd), 1e-6)
 
 
 @settings(max_examples=250, derandomize=True, deadline=None,
@@ -114,13 +112,39 @@ def test_a_run_trains_sanely_or_is_refused_before_its_first_step(overrides, eval
         assert [r["step"] for r in records] == [1, 2]
         for dice in [r["dice"] for r in records] + [art.final_train_dice, test_dice]:
             assert 0.0 <= dice <= 1.0
-        assert test_dice is art.final_test_dice
-        # the final dice come from evaluations that share one memo
-        finals = {"train": art.final_train_dice, "val": art.final_val_dice,
-                  "test": art.final_test_dice}
         for split in ("train", "val", "test"):
-            reference = repr(evaluate_per_sample(model, state, dataset[split]))
-            assert repr(training.evaluate(model, state, dataset[split])) == reference
-            assert repr(finals[split]) == reference
+            stacked = training.evaluate(model, state, dataset[split])
+            assert repr(stacked) == repr(evaluate_per_sample(model, state, dataset[split]))
     batch = dataset["train"][:overrides["train.micro_batch"]]
     assert _finite_difference_agrees(model, state, batch, which, coord)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(overrides=CONFIGS, eval_stack=hst.integers(1, 3))
+def test_a_runs_final_dice_equal_per_sample_evaluation(overrides, eval_stack, tmp_path):
+    """After the last step, the val, train and test evaluations share one
+    memo; each final dice still equals its split's per-sample evaluation."""
+    out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    args = ["train", "--set", "train.steps=2", "--set", "train.eval_every=1",
+            "--set", f"data.image_size={overrides['backbone.image_size']}",
+            "--out", str(out)]
+    for key, value in overrides.items():
+        args += ["--set", f"{key}={json.dumps(value)}"]
+    runs, run_training = [], runner.run_training
+
+    def keeping(cfg, out_dir=None):
+        dataset = runner.get_dataset(cfg)
+        runs.append((dataset, *run_training(cfg, out_dir=out_dir, dataset=dataset)))
+        return runs[-1][1:]
+
+    with mock.patch.object(training, "EVAL_STACK", eval_stack), \
+            mock.patch.object(runner, "run_training", keeping):
+        if cli.main(args) == 1:
+            return
+    (dataset, art, test_dice, model, state), = runs
+    assert test_dice is art.final_test_dice
+    finals = {"train": art.final_train_dice, "val": art.final_val_dice,
+              "test": art.final_test_dice}
+    for split, dice in finals.items():
+        assert repr(dice) == repr(evaluate_per_sample(model, state, dataset[split]))

@@ -377,7 +377,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "evaluate", recording)
         train(model, state, ds, self._cfg(10))
         # val at steps 5 and 10, then train and test
-        assert len(memos) == 4 and memos[0] is None
+        assert len(memos) == 4 and memos[0] is not memos[1]
         assert all(m is memos[1] for m in memos[1:])
 
     def test_non_finite_loss_stops_before_the_optimizer_step(self, tiny_run, tmp_path,
