@@ -12,11 +12,10 @@ run the same code on one sample and on a stack of samples along leading axes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import checkpoint
 from .tensor import (
     LN_EPS,
     ConfigError,
@@ -90,17 +89,15 @@ class BackboneConfig:
 
 @dataclass
 class TextEncoding:
-    z: Tensor                 # [..., joint_width]
+    z: Tensor                 # [..., 1, joint_width]: the EOS slot, projected
     final_seq: Tensor         # [..., B + n, text_width]
     eos_index: int            # index in final_seq holding the sentence embedding
-    trace: list[Tensor] = field(default_factory=list)
 
 
 @dataclass
 class ImageEncoding:
     z: Tensor                 # [..., joint_width]
     patch_tokens: Tensor      # [..., n_patches, vision_width]
-    trace: list[Tensor] = field(default_factory=list)
 
 
 def _linear_init(rng, din, dout):
@@ -293,19 +290,15 @@ class Backbone:
             h.update(np.ascontiguousarray(self.params[name].data).tobytes())
         return h.hexdigest()
 
-    def save(self, path) -> None:
-        checkpoint.save_arrays(path, {n: t.data for n, t in self.params.items()})
-
     # -- encoders ------------------------------------------------------------
 
     def _encode(self, branch: str, seq: Tensor, prompts, front: bool, layers: int,
-                heads: int, record_trace: bool) -> tuple[Tensor, list[Tensor]]:
+                heads: int) -> Tensor:
         """Run ``branch``'s blocks over ``seq`` with prompt ``i`` joined before
         block ``i``, in ``front`` of it (text) or behind it (vision), in place of
         the previous prompt's slots; past the depth the slots ride along as
-        ordinary tokens.  Gives the output and, if ``record_trace``, each block's."""
+        ordinary tokens."""
         prompts = prompts or []
-        trace: list[Tensor] = []
         for i in range(layers):
             if i < len(prompts):
                 if i > 0:
@@ -313,12 +306,9 @@ class Backbone:
                     seq = seq[..., B:, :] if front else seq[..., :-B, :]
                 seq = concat([prompts[i], seq] if front else [seq, prompts[i]], axis=-2)
             seq = transformer_block(self.params, f"{branch}.layer{i}", seq, heads)
-            if record_trace:
-                trace.append(seq)
-        return seq, trace
+        return seq
 
-    def encode_text(self, tokens: np.ndarray, textual_prompts=None,
-                    record_trace: bool = False) -> TextEncoding:
+    def encode_text(self, tokens: np.ndarray, textual_prompts=None) -> TextEncoding:
         """One phrase; prompts with leading axes give one encoding per index."""
         cfg = self.cfg
         tokens = np.asarray(tokens)
@@ -331,14 +321,12 @@ class Backbone:
             raise TokenizationError(
                 f"sequence must contain exactly one EOS marker, found {len(eos_positions)}"
             )
-        seq, trace = self._encode(
+        seq = self._encode(
             "text", self.params["text.embed"][tokens] + self.params["text.pos"][:len(tokens)],
-            textual_prompts, True, cfg.text_layers, cfg.text_heads, record_trace)
+            textual_prompts, True, cfg.text_layers, cfg.text_heads)
         eos = int(eos_positions[0]) + (textual_prompts[0].shape[-2] if textual_prompts else 0)
-        z = linear(seq[..., eos : eos + 1, :], self.params["text.proj"]).reshape(
-            *seq.shape[:-2], cfg.joint_width
-        )
-        return TextEncoding(z=z, final_seq=seq, eos_index=eos, trace=trace)
+        z = linear(seq[..., eos : eos + 1, :], self.params["text.proj"])
+        return TextEncoding(z=z, final_seq=seq, eos_index=eos)
 
     def patchify(self, image: np.ndarray) -> np.ndarray:
         """``[3, S, S]`` -> ``[n_patches, 3*ps*ps]``; a stack ``[N, 3, S, S]``
@@ -358,25 +346,24 @@ class Backbone:
             .reshape(*lead, cfg.n_patches, 3 * ps * ps)
         )
 
-    def encode_image(self, image: np.ndarray, visual_prompts=None,
-                     record_trace: bool = False) -> ImageEncoding:
+    def encode_image(self, image: np.ndarray, visual_prompts=None) -> ImageEncoding:
         cfg = self.cfg
         patches = Tensor(self.patchify(image))
         E = linear(patches, self.params["vision.patch_proj"], self.params["vision.pos"][1:])
         c0 = (self.params["vision.cls"] + self.params["vision.pos"][0]).reshape(
             1, cfg.vision_width
         )
-        seq, trace = self._encode("vision", concat([c0, E], axis=-2), visual_prompts, False,
-                                  cfg.vision_layers, cfg.vision_heads, record_trace)
+        seq = self._encode("vision", concat([c0, E], axis=-2), visual_prompts, False,
+                           cfg.vision_layers, cfg.vision_heads)
         z = linear(seq[..., 0:1, :], self.params["vision.proj"]).reshape(
             *seq.shape[:-2], cfg.joint_width)
-        return ImageEncoding(z=z, patch_tokens=seq[..., 1 : 1 + cfg.n_patches, :], trace=trace)
+        return ImageEncoding(z=z, patch_tokens=seq[..., 1 : 1 + cfg.n_patches, :])
 
     # -- decoder -------------------------------------------------------------
 
     def decode(self, patch_tokens: Tensor, z_text: Tensor) -> Tensor:
         """``[..., n_patches, vision_width]`` tokens and ``[..., joint_width]``
-        text embeddings -> ``[..., S, S]`` logits."""
+        (or ``[..., 1, joint_width]``) text embeddings -> ``[..., S, S]`` logits."""
         cfg = self.cfg
         *lead, P, width = patch_tokens.shape
         if (P, width) != (cfg.n_patches, cfg.vision_width):
@@ -439,7 +426,7 @@ class Backbone:
                 rows.append(self.encode_text(tokens[idx[0]], textual).z)
             else:
                 if key not in memo:
-                    memo[key] = self.encode_text(tokens[idx[0]], textual).z.reshape(1, -1)
+                    memo[key] = self.encode_text(tokens[idx[0]], textual).z
                 rows.append(memo[key])
             row_of[idx] = n_rows + np.arange(len(idx)) if conditioned else n_rows
             n_rows += rows[-1].shape[0]

@@ -158,20 +158,17 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def resize_bicubic(image: np.ndarray, target: int) -> np.ndarray:
-    """Catmull-Rom (a=-0.5) separable resize, align-corners=false."""
+    """Catmull-Rom (a=-0.5) separable resize of a ``[c, h, w]`` image,
+    align-corners=false."""
     if target < 4:
         raise ConfigError(f"resize target must be at least 4, got {target}")
     image = np.asarray(image, dtype=np.float64)
-    squeeze = image.ndim == 2
-    if squeeze:
-        image = image[None]
     c, h, w = image.shape
     if h < 2 or w < 2:
         raise ShapeError(f"cannot resize degenerate image of size {h}x{w}")
     Mr = _resize_matrix(h, target)
     Mc = _resize_matrix(w, target)
-    out = np.einsum("ih,chw,jw->cij", Mr, image, Mc)
-    return out[0] if squeeze else out
+    return np.einsum("ih,chw,jw->cij", Mr, image, Mc)
 
 
 def resize_sample(sample: SegmentationSample, size: int) -> SegmentationSample:

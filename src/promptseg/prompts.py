@@ -35,13 +35,11 @@ class CouplerConfig:
     attn_dropout: float = 0.0
     attn_ff_dim: int = 64
     layernorm_first: bool = True
-    use_layernorm: bool = True     # shared-separate: layer norm after the linear map
 
 
 @dataclass
 class PromptState:
     kind: str
-    B: int
     J: int
     params: dict[str, Tensor]
     coupler: CouplerConfig | None = None
@@ -127,9 +125,8 @@ def _init_shared_separate(ini: _Init):
             pre = f"coupler{i}.to_{branch}"
             yield f"{pre}.w", ini.linear(H_u, width)
             yield f"{pre}.b", np.zeros(width)
-            if ini.coupler.use_layernorm:
-                yield f"{pre}.ln.g", np.ones(width)
-                yield f"{pre}.ln.b", np.zeros(width)
+            yield f"{pre}.ln.g", np.ones(width)
+            yield f"{pre}.ln.b", np.zeros(width)
 
 
 def _init_shared_attention(ini: _Init):
@@ -174,9 +171,7 @@ def _couple_shared_separate(state: PromptState, i: int, rng):
     for branch in ("l", "v"):
         pre = f"coupler{i}.to_{branch}"
         h = linear(p[f"unified{i}"], p[f"{pre}.w"], p[f"{pre}.b"])
-        if state.coupler.use_layernorm:
-            h = layer_norm(h, p[f"{pre}.ln.g"], p[f"{pre}.ln.b"])
-        out.append(h)
+        out.append(layer_norm(h, p[f"{pre}.ln.g"], p[f"{pre}.ln.b"]))
     return out[0], out[1]
 
 
@@ -253,7 +248,7 @@ def init_prompts(
     coupler = coupler or CouplerConfig()
     ini = _Init(B, J, backbone, coupler, init_mode, seed)
     params = {name: Tensor(data, requires_grad=True) for name, data in spec.init(ini)}
-    return PromptState(kind=kind, B=B, J=J, params=params, coupler=coupler)
+    return PromptState(kind=kind, J=J, params=params, coupler=coupler)
 
 
 def cocoop_condition(state: PromptState, z_image: Tensor) -> list[Tensor]:

@@ -36,8 +36,7 @@ DEFAULT_CONFIG = {
     "prompt_depth": 2,
     "init_mode": "gaussian",
     "backbone": _defaults(BackboneConfig),
-    # use_layernorm has no key: only the shared-separate = maple equivalence turns it off
-    "coupler": _defaults(CouplerConfig, "use_layernorm"),
+    "coupler": _defaults(CouplerConfig),
     "train": {**_defaults(TrainRunConfig, "seed", "loss"), **_defaults(LossConfig)},
     "data": {
         "n_classes": 2,
@@ -159,11 +158,8 @@ SWEEP_KEYS = {
 # -- assembly ----------------------------------------------------------------
 
 
-def build_backbone(cfg: dict, use_upsampler=None) -> Backbone:
-    b = dict(cfg["backbone"])
-    if use_upsampler is not None:
-        b["use_upsampler"] = use_upsampler
-    return Backbone(BackboneConfig(**b), seed=cfg["seed"])
+def build_backbone(cfg: dict) -> Backbone:
+    return Backbone(BackboneConfig(**cfg["backbone"]), seed=cfg["seed"])
 
 
 def build_state(cfg: dict, backbone: Backbone, seed: int | None = None):

@@ -44,7 +44,7 @@ class GradientError(RuntimeError):
     """Raised when backward is called on an invalid root."""
 
 
-LN_EPS = 1e-5   # layer_norm's default epsilon
+LN_EPS = 1e-5   # layer_norm's epsilon, added to the variance
 
 
 class Tensor:
@@ -270,14 +270,12 @@ def _linear_weight_grads(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | No
         b._accumulate(_unbroadcast(g, b.shape))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.shape[-1] == 0:
         raise ShapeError("layer_norm over an empty last axis")
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be positive")
-    val, xhat, inv = _layer_norm_arrays(x.data, gamma.data, beta.data, eps)
+    val, xhat, inv = _layer_norm_arrays(x.data, gamma.data, beta.data, LN_EPS)
 
     def _bw(g):
         dx = _layer_norm_grads(g, gamma, beta, xhat, inv, x.requires_grad)
@@ -316,10 +314,11 @@ def _layer_norm_grads(g: np.ndarray, gamma: Tensor, beta: Tensor, xhat: np.ndarr
 # -- image ops ---------------------------------------------------------------
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
     """Cross-correlate ``x[..., c_in, h, w]`` with ``kernel[c_out, c_in, kh, kw]``,
-    zero padded; leading axes index independent images."""
-    x, kernel = as_tensor(x), as_tensor(kernel)
+    zero padded by ``padding``, plus ``bias[c_out]``; leading axes index
+    independent images."""
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     *lead, c_in, h, w = x.shape
     c_out, kc, kh, kw = kernel.shape
     if kc != c_in:
@@ -348,10 +347,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
     val = np.empty((n, c_out, oh * ow))
     for k in range(n):
         val[k] = kmat @ columns(k)
-    val = val.reshape(*lead, c_out, oh, ow)
-    if bias is not None:
-        bias = as_tensor(bias)
-        val = val + bias.data.reshape(c_out, 1, 1)
+    val = val.reshape(*lead, c_out, oh, ow) + bias.data.reshape(c_out, 1, 1)
 
     def _bw(g):
         if kernel.requires_grad:
@@ -362,7 +358,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
             kernel._accumulate(gk.reshape(kernel.shape))
         # summed over leading axes only when there are some: a sum over one
         # image would turn -0.0 into 0.0
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             gb = g.sum(axis=(-2, -1))
             bias._accumulate(gb.reshape(-1, c_out).sum(axis=0) if lead else gb)
         if not x.requires_grad:
@@ -375,4 +371,4 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, padding: int =
                                                  * g[..., o : o + 1, :, :])
         x._accumulate(dxp[..., padding : padding + h, padding : padding + w])
 
-    return _node(val, (x, kernel) if bias is None else (x, kernel, bias), _bw)
+    return _node(val, (x, kernel, bias), _bw)

@@ -55,7 +55,6 @@ class TrainRunConfig:
 @dataclass
 class TrainedArtifacts:
     metrics: list[dict]
-    checkpoint_arrays: dict[str, np.ndarray]
     checkpoint_path: str | None = None
     metrics_path: str | None = None
     final_train_dice: float = float("nan")
@@ -210,7 +209,7 @@ def evaluate(model: Backbone, state: PromptState | None, samples,
 
 
 def train(model: Backbone, state: PromptState, dataset: dict,
-          run_cfg: TrainRunConfig, out_dir=None, on_step=None) -> TrainedArtifacts:
+          run_cfg: TrainRunConfig, out_dir=None) -> TrainedArtifacts:
     """Run the deterministic prompt-tuning loop.
 
     Only tensors reported by ``trainable_parameters`` are updated; the frozen
@@ -263,8 +262,6 @@ def train(model: Backbone, state: PromptState, dataset: dict,
         metrics.append({"step": step, "loss": step_loss,
                         "dice": evaluate(model, state, val_samples, memo) if evaluated else None,
                         "lr": run_cfg.learning_rate})
-        if on_step is not None:
-            on_step(step, model, state)
 
     post_checksum = model.frozen_checksum()
     if post_checksum != pre_checksum:
@@ -273,10 +270,8 @@ def train(model: Backbone, state: PromptState, dataset: dict,
             f"({pre_checksum[:12]} -> {post_checksum[:12]})"
         )
 
-    arrays = {name: t.data.copy() for name, t in params}
     artifacts = TrainedArtifacts(
         metrics=metrics,
-        checkpoint_arrays=arrays,
         # the last step always evaluates val, and nothing has changed since
         final_val_dice=(metrics[-1]["dice"] if metrics
                         else evaluate(model, state, val_samples, memo)),
@@ -287,7 +282,7 @@ def train(model: Backbone, state: PromptState, dataset: dict,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         ckpt = out / "prompts.ckpt"
-        checkpoint.save_arrays(ckpt, arrays)
+        checkpoint.save_arrays(ckpt, {name: t.data for name, t in params})
         mpath = out / "metrics.jsonl"
         with open(mpath, "w") as f:
             for rec in metrics:

@@ -1,15 +1,19 @@
 """Shared test utilities: finite-difference oracles, small fixtures, the
 references the fused tensor ops, ``concat``'s repeats, ``conv2d``, the
 transformer block, the loss node and stacked evaluation are checked against,
-and the reader of the checkpoint files ``checkpoint.save_arrays`` writes."""
+recorders of the encoders' block outputs and of optimizer steps, and the
+reader of the checkpoint files ``checkpoint.save_arrays`` writes."""
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from promptseg import backbone, training
 from promptseg.backbone import tokenize
 from promptseg.checkpoint import _MAGIC
 from promptseg.tensor import (
@@ -226,11 +230,11 @@ def layer_norm_reference(x, gamma, beta, eps: float = 1e-5):
     return out
 
 
-def conv2d_reference(x, kernel, bias=None, padding: int = 0):
+def conv2d_reference(x, kernel, bias, padding: int):
     """``tensor.conv2d`` as an im2col of the padded input and two batched
     GEMMs, with the input gradient scattered back window by window: the
     reference the op's bits are checked against for one channel."""
-    x, kernel = as_tensor(x), as_tensor(kernel)
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     *lead, c_in, h, w = x.shape
     lead, n = tuple(lead), len(lead)
     c_out, _, kh, kw = kernel.shape
@@ -240,13 +244,8 @@ def conv2d_reference(x, kernel, bias=None, padding: int = 0):
     cols = windows.transpose(*range(n), n, n + 3, n + 4, n + 1, n + 2).reshape(
         *lead, c_in * kh * kw, oh * ow)
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
-    val = (kmat @ cols).reshape(*lead, c_out, oh, ow)
-    parents = [x, kernel]
-    if bias is not None:
-        bias = as_tensor(bias)
-        val = val + bias.data.reshape(c_out, 1, 1)
-        parents.append(bias)
-    out = Tensor(val, any(p.requires_grad for p in parents), tuple(parents))
+    val = (kmat @ cols).reshape(*lead, c_out, oh, ow) + bias.data.reshape(c_out, 1, 1)
+    out = Tensor(val, any(p.requires_grad for p in (x, kernel, bias)), (x, kernel, bias))
 
     def _bw(g):
         g2 = g.reshape(*lead, c_out, oh * ow)
@@ -255,7 +254,7 @@ def conv2d_reference(x, kernel, bias=None, padding: int = 0):
             if lead:
                 gk = gk.reshape(-1, *gk.shape[-2:]).sum(axis=0)
             kernel._accumulate(gk.reshape(kernel.shape))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             gb = g.sum(axis=(-2, -1))
             bias._accumulate(gb.reshape(-1, c_out).sum(axis=0) if lead else gb)
         if not x.requires_grad:
@@ -271,6 +270,57 @@ def conv2d_reference(x, kernel, bias=None, padding: int = 0):
 
     out._backward = _bw
     return out
+
+
+# -- recorders ---------------------------------------------------------------
+
+
+@contextmanager
+def encoder_block_outputs():
+    """Within the block, record each encoder block's output: ``{"text": [...],
+    "vision": [...]}``, in the order the blocks run.  Wraps
+    ``backbone.transformer_block``, which ``Backbone._encode`` looks up per
+    call; the decoder's blocks are not recorded."""
+    outputs = {"text": [], "vision": []}
+    block = backbone.transformer_block
+
+    def recording(params, prefix, *args, **kwargs):
+        out = block(params, prefix, *args, **kwargs)
+        for branch, kept in outputs.items():
+            if prefix.startswith(f"{branch}.layer"):
+                kept.append(out)
+        return out
+
+    with mock.patch.object(backbone, "transformer_block", recording):
+        yield outputs
+
+
+@contextmanager
+def after_each_step(hook):
+    """Within the block, call ``hook(optimizer)`` after each real
+    ``training.AdamW.step``."""
+    step = training.AdamW.step
+
+    def stepping(opt):
+        step(opt)
+        hook(opt)
+
+    with mock.patch.object(training.AdamW, "step", stepping):
+        yield
+
+
+def corrupting(train):
+    """``train`` with the frozen ``text.proj`` nudged by 1e-9 after every
+    optimizer step: a freeze violation mid-training."""
+
+    def sabotaged(model, *args, **kwargs):
+        def corrupt(opt):
+            model.params["text.proj"].data = model.params["text.proj"].data + 1e-9
+
+        with after_each_step(corrupt):
+            return train(model, *args, **kwargs)
+
+    return sabotaged
 
 
 # -- the op chain the loss node stands for -----------------------------------

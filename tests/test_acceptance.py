@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import copy
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from promptseg import cli, runner, training
+from promptseg import checkpoint, cli, runner, training
 from promptseg.backbone import Backbone, BackboneConfig, tokenize
 from promptseg.dataio import SyntheticTaskSpec, generate_dataset
 from promptseg.prompts import (
@@ -60,7 +61,7 @@ from promptseg.training import (
     train,
 )
 
-from helpers import finite_difference, max_rel_error
+from helpers import corrupting, encoder_block_outputs, finite_difference, max_rel_error
 
 # Strategy-dependent seeds with comfortable activation margin for the
 # h=1e-5 central differences (a ReLU kink inside the step would make the
@@ -164,6 +165,10 @@ def test_criterion_2_backbone_frozen_after_training(capsys, tmp_path,
         run_cfg = TrainRunConfig(steps=200, micro_batch=2, grad_accum=1,
                                  learning_rate=1e-3, weight_decay=1e-4,
                                  seed=0, eval_every=100)
+
+        def save(model, path):
+            checkpoint.save_arrays(path, {n: t.data for n, t in model.params.items()})
+
         for kind in KINDS:
             # with the upsampler disabled every backbone tensor is frozen,
             # so the whole checkpoint must survive training untouched
@@ -173,23 +178,14 @@ def test_criterion_2_backbone_frozen_after_training(capsys, tmp_path,
                                  seed=0)
             pre = tmp_path / f"{kind}-pre.ckpt"
             post = tmp_path / f"{kind}-post.ckpt"
-            model.save(pre)
+            save(model, pre)
             train(model, state, small_dataset, run_cfg)
-            model.save(post)
+            save(model, post)
             assert pre.read_bytes() == post.read_bytes(), kind
 
         # mutation injection: corrupting one frozen tensor mid-training must
         # surface as CLI exit code 3
-        original = training.train
-
-        def sabotaged(model, state, dataset, run_cfg, out_dir=None,
-                      on_step=None):
-            def corrupt(step, m, s):
-                m.params["text.proj"].data = m.params["text.proj"].data + 1e-9
-            return original(model, state, dataset, run_cfg, out_dir=out_dir,
-                            on_step=corrupt)
-
-        monkeypatch.setattr(runner, "train", sabotaged)
+        monkeypatch.setattr(runner, "train", corrupting(training.train))
         rc = cli.main([
             "train",
             "--set", "backbone.image_size=16", "--set", "data.image_size=16",
@@ -237,9 +233,7 @@ def test_criterion_3_strategy_equivalences(capsys, small_sample):
         maple = init_prompts("maple", B=2, J=2, backbone=model,
                              coupler=CouplerConfig(unified_dim=32), seed=5)
         ss = init_prompts("shared-separate", B=2, J=2, backbone=model,
-                          coupler=CouplerConfig(unified_dim=32,
-                                                use_layernorm=False),
-                          seed=5)
+                          coupler=CouplerConfig(unified_dim=32), seed=5)
         for i in range(2):
             ss.params[f"unified{i}"].data = maple.params[f"unified{i}"].data.copy()
             ss.params[f"coupler{i}.to_l.w"].data = np.eye(32)
@@ -247,7 +241,8 @@ def test_criterion_3_strategy_equivalences(capsys, small_sample):
             ss.params[f"coupler{i}.to_v.w"].data = maple.params[f"coupler{i}.w"].data.copy()
             ss.params[f"coupler{i}.to_v.b"].data = maple.params[f"coupler{i}.b"].data.copy()
         out_m = model.forward(sample.image, tokens, maple).data
-        out_s = model.forward(sample.image, tokens, ss).data
+        with mock.patch("promptseg.prompts.layer_norm", lambda x, gamma, beta: x):
+            out_s = model.forward(sample.image, tokens, ss).data
         diff = float(np.max(np.abs(out_m - out_s)))
         assert diff < 1e-12, f"maple vs shared-separate diff {diff:.2e}"
 
@@ -318,8 +313,8 @@ def test_criterion_4_slot_semantics(capsys, small_sample):
                 state = init_prompts("deep-textual", B=B, J=J, backbone=model,
                                      seed=0)
                 textual, _ = build_prompts(state)
-                txt = model.encode_text(tokens, textual_prompts=textual,
-                                        record_trace=True)
+                with encoder_block_outputs() as trace:
+                    txt = model.encode_text(tokens, textual_prompts=textual)
                 img = model.encode_image(sample.image)
                 loss = combined_loss(model.decode(img.patch_tokens, txt.z),
                                      sample.mask, loss_cfg)
@@ -327,7 +322,7 @@ def test_criterion_4_slot_semantics(capsys, small_sample):
                 assert txt.eos_index == int(np.flatnonzero(tokens == tokens[-1])[0]) + B
                 expected = _simulate_prompt_liveness(
                     K, J, B, n, "text", {txt.eos_index})
-                for i, layer_out in enumerate(txt.trace):
+                for i, layer_out in enumerate(trace["text"]):
                     assert layer_out.shape == (B + n, cfg.text_width)
                     rows = layer_out.grad[:B]
                     if expected[i]:
@@ -338,15 +333,15 @@ def test_criterion_4_slot_semantics(capsys, small_sample):
                 # visual side
                 state = init_prompts("vpt", B=B, J=J, backbone=model, seed=0)
                 _, visual = build_prompts(state)
-                img = model.encode_image(sample.image, visual_prompts=visual,
-                                         record_trace=True)
+                with encoder_block_outputs() as trace:
+                    img = model.encode_image(sample.image, visual_prompts=visual)
                 txt = model.encode_text(tokens)
                 loss = combined_loss(model.decode(img.patch_tokens, txt.z),
                                      sample.mask, loss_cfg)
                 loss.backward()
                 expected = _simulate_prompt_liveness(
                     K, J, B, body_len, "vision", set(range(1, body_len)))
-                for i, layer_out in enumerate(img.trace):
+                for i, layer_out in enumerate(trace["vision"]):
                     assert layer_out.shape == (body_len + B, cfg.vision_width)
                     rows = layer_out.grad[body_len:]
                     if expected[i]:
@@ -535,7 +530,8 @@ def test_criterion_8_upsampler_ablation(capsys):
                 cfg["prompt_depth"] = 1
             arm_dice = {}
             for use_upsampler in (True, False):
-                model = runner.build_backbone(cfg, use_upsampler=use_upsampler)
+                cfg["backbone"]["use_upsampler"] = use_upsampler
+                model = runner.build_backbone(cfg)
                 state = runner.build_state(cfg, model)
                 run_cfg = runner.build_run_cfg(cfg)
                 train(model, state, dataset, run_cfg)

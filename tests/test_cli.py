@@ -14,7 +14,7 @@ from promptseg.prompts import KINDS, CouplerConfig
 from promptseg.tensor import ConfigError
 from promptseg.training import TrainRunConfig
 
-from helpers import load_arrays
+from helpers import corrupting, load_arrays
 
 SMALL = [
     "--set", "backbone.image_size=16",
@@ -296,28 +296,12 @@ class TestExitCodes:
         assert rc == 1
 
     def test_freeze_violation_exit_code(self, tmp_path, monkeypatch):
-        original = training.train
-
-        def sabotaged(model, state, dataset, run_cfg, out_dir=None, on_step=None):
-            def corrupt(step, m, s):
-                m.params["text.proj"].data = m.params["text.proj"].data + 1e-9
-            return original(model, state, dataset, run_cfg, out_dir=out_dir,
-                           on_step=corrupt)
-
-        monkeypatch.setattr(runner, "train", sabotaged)
+        monkeypatch.setattr(runner, "train", corrupting(training.train))
         rc = cli.main(["train", *SMALL, "--out", str(tmp_path / "o")])
         assert rc == 3
 
     def test_sweep_freeze_violation_exit_code(self, tmp_path, monkeypatch):
-        original = training.train
-
-        def sabotaged(model, state, dataset, run_cfg, out_dir=None, on_step=None):
-            def corrupt(step, m, s):
-                m.params["text.proj"].data = m.params["text.proj"].data + 1e-9
-            return original(model, state, dataset, run_cfg, out_dir=out_dir,
-                            on_step=corrupt)
-
-        monkeypatch.setattr(runner, "train", sabotaged)
+        monkeypatch.setattr(runner, "train", corrupting(training.train))
         rc = cli.main(["sweep", *SMALL, "--set", "sweep.n_trials=2",
                        "--set", "sweep.steps=2", "--out", str(tmp_path / "o")])
         assert rc == 3

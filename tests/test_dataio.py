@@ -109,7 +109,7 @@ class TestBicubic:
         n_in, n_out = 8, 20
         row = np.linspace(0.0, 1.0, n_in)
         img = np.tile(row, (n_in, 1))
-        out = resize_bicubic(img, n_out)
+        out = resize_bicubic(img[None], n_out)[0]
 
         def scalar_bicubic(samples, x):
             # clamped 4-tap Catmull-Rom at a single continuous coordinate

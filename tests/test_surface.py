@@ -3,10 +3,12 @@ is one the program uses.
 
 A top-level function or non-dunder method must be referenced by name somewhere
 in the package outside its own ``def``, and a parameter with a default must be
-passed, by keyword or by position, by some call in the package.  The checks
-match names only, so they cannot see a method that shares its name with one
-the package calls on something else, such as a ``Tensor.sum`` next to the
-``ndarray.sum`` calls.
+passed, by keyword or by position, by some call in the package.  An option or
+code path that only the tests would use does not belong in the package: the
+tests reach that behaviour through the config, or by patching an internal.
+The checks match names only, so they cannot see a method that shares its name
+with one the package calls on something else, such as a ``Tensor.sum`` next to
+the ``ndarray.sum`` calls.
 """
 
 from __future__ import annotations
@@ -21,18 +23,12 @@ SRC = Path(promptseg.__file__).parent
 
 # nothing in the package calls these
 ALLOWED = {
-    "Backbone.save": "acceptance criterion 2 compares the checkpoints it writes",
-    "sweep.compare_tpe_random": "acceptance criterion 7 runs the TPE-vs-random check",
+    "sweep.compare_tpe_random": "the guided-vs-random comparison the README describes",
 }
 
 # defaults that no call in the package overrides
 ALLOWED_PARAMS = {
-    "Backbone.encode_text.record_trace": "acceptance criterion 4 reads the slot trace",
-    "Backbone.encode_image.record_trace": "acceptance criterion 4 reads the slot trace",
-    "runner.build_backbone.use_upsampler": "acceptance criterion 8 builds both arms",
-    "tensor.layer_norm.eps": "the layer-norm gradient check runs at a larger eps",
-    "training.train.on_step": "the freeze-violation tests inject a corrupting step hook",
-    "cli.main.argv": "the CLI tests pass their argument lists",
+    "cli.main.argv": "the console script calls main(), which then reads sys.argv",
 }
 
 

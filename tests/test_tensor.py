@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 
 from promptseg.backbone import BLOCK_PARAMS, init_block_params, transformer_block
 from promptseg.tensor import (
+    LN_EPS,
     ConfigError,
     GradientError,
     ShapeError,
@@ -101,9 +102,9 @@ class TestLayerNorm:
         assert np.allclose(out.data, 0.0)
 
     def test_two_point_vector(self):
-        out = layer_norm(Tensor([1.0, 3.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                         eps=1e-14)
-        assert np.allclose(out.data, [-1.0, 1.0], atol=1e-6)
+        out = layer_norm(Tensor([1.0, 3.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        expected = np.array([-1.0, 1.0]) / np.sqrt(1.0 + LN_EPS)
+        assert np.allclose(out.data, expected, rtol=0.0, atol=1e-12)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ShapeError):
@@ -443,24 +444,26 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(2, 4, 4)))
         k = np.zeros((2, 2, 1, 1))
         k[0, 0], k[1, 1] = 1.0, 1.0
-        out = conv2d(x, Tensor(k), padding=0)
+        out = conv2d(x, Tensor(k), Tensor(np.zeros(2)), padding=0)
         assert np.array_equal(out.data, x.data)
 
     def test_ones_kernel_on_one_hot(self):
         x = np.zeros((1, 5, 5))
         x[0, 2, 2] = 1.0
-        out = conv2d(Tensor(x), Tensor(np.ones((1, 1, 3, 3))), padding=1)
+        out = conv2d(Tensor(x), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)), padding=1)
         expected = np.zeros((5, 5))
         expected[1:4, 1:4] = 1.0
         assert np.array_equal(out.data[0], expected)
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))), padding=0)
+            conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
+                   Tensor(np.zeros(1)), padding=0)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
+            conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))),
+                   Tensor(np.zeros(1)), padding=0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -485,9 +488,10 @@ class TestConv2d:
            grads=hst.sampled_from(["x", "kernel", "all"]))
     def test_one_channel_matches_the_reference_bit_for_bit(self, seed, lead, h, w, kh, kw,
                                                            padding, bias, grads):
-        """Value and gradients equal ``conv2d_reference``'s bytes, with -0.0 in
-        the input, the kernel and the incoming gradient, over two backward
-        passes that accumulate into the leaves.  Kernel and output sides are
+        """Value and gradients, under a random bias or a zero one, equal
+        ``conv2d_reference``'s bytes, with -0.0 in the input, the kernel and
+        the incoming gradient, over two backward passes that accumulate into
+        the leaves.  Kernel and output sides are
         at least 3 and 2, as for the upsampler's 5 by 5 kernel over a whole
         image: with a side of 1, the reference's im2col can stay a strided
         view of the padded input, whose GEMM rounds differently."""
@@ -508,13 +512,13 @@ class TestConv2d:
         def run(op):
             x = Tensor(x0.copy(), requires_grad=grads != "kernel")
             k = Tensor(k0.copy(), requires_grad=grads != "x")
-            b = Tensor(b0.copy(), requires_grad=grads == "all") if bias else None
+            b = Tensor(b0.copy() if bias else np.zeros(1), requires_grad=grads == "all")
             values = []
             for weights in losses:
                 y = op(x, k, bias=b, padding=padding)
                 values.append(y.data.tobytes())
                 reduce_sum(y * weights).backward()
-            return values, [None if t is None or t.grad is None else t.grad.tobytes()
+            return values, [None if t.grad is None else t.grad.tobytes()
                             for t in (x, k, b)]
 
         assert run(conv2d) == run(conv2d_reference)
@@ -557,7 +561,7 @@ class TestConv2d:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            y = conv2d(x, k, padding=2)
+            y = conv2d(x, k, Tensor(np.zeros(1)), padding=2)
             kept, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()

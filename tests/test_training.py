@@ -24,7 +24,14 @@ from promptseg.training import (
     train,
 )
 
-from helpers import combined_loss_chain, evaluate_per_sample, finite_difference, max_rel_error
+from helpers import (
+    after_each_step,
+    combined_loss_chain,
+    evaluate_per_sample,
+    finite_difference,
+    load_arrays,
+    max_rel_error,
+)
 
 BIG = 500.0  # saturates sigmoid exactly at 64-bit
 
@@ -291,29 +298,32 @@ class TestTrainLoop:
                               learning_rate=1e-3, weight_decay=1e-4, seed=seed,
                               eval_every=5, **kw)
 
-    def test_zero_steps_checkpoint_equals_init(self, tiny_run):
+    def test_zero_steps_checkpoint_equals_init(self, tiny_run, tmp_path):
         model, ds = tiny_run
         state = init_prompts("vpt", B=2, J=1, backbone=model, seed=1)
         before = {n: t.data.copy() for n, t in state.params.items()}
-        art = train(model, state, ds, self._cfg(0))
+        train(model, state, ds, self._cfg(0), out_dir=tmp_path)
+        saved = load_arrays(tmp_path / "prompts.ckpt")
         for name, arr in before.items():
-            assert np.array_equal(art.checkpoint_arrays[f"prompt.{name}"], arr)
+            assert np.array_equal(saved[f"prompt.{name}"], arr)
 
-    def test_determinism(self):
+    def test_determinism(self, tmp_path):
         spec = SyntheticTaskSpec(n_classes=2, image_size=16,
                                  samples_per_split={"train": 8, "val": 4},
                                  seed=3, align=4)
         ds = generate_dataset(spec)
 
-        def one_run():
+        def one_run(out):
             model = Backbone(BackboneConfig(image_size=16), seed=0)
             state = init_prompts("vpt", B=2, J=1, backbone=model, seed=1)
-            return train(model, state, ds, self._cfg(6, seed=9))
+            art = train(model, state, ds, self._cfg(6, seed=9), out_dir=out)
+            return art, load_arrays(out / "prompts.ckpt")
 
-        a, b = one_run(), one_run()
+        (a, a_arrays), (b, b_arrays) = one_run(tmp_path / "a"), one_run(tmp_path / "b")
         assert a.metrics == b.metrics
-        for name, arr in a.checkpoint_arrays.items():
-            assert arr.tobytes() == b.checkpoint_arrays[name].tobytes()
+        assert list(a_arrays) == list(b_arrays)
+        for name, arr in a_arrays.items():
+            assert arr.tobytes() == b_arrays[name].tobytes()
 
     def test_freeze_checksum_invariant(self, tiny_run):
         model, ds = tiny_run
@@ -327,12 +337,12 @@ class TestTrainLoop:
         state = init_prompts("vpt", B=2, J=1, backbone=model, seed=1)
         original = model.params["text.proj"].data.copy()
 
-        def corrupt(step, m, s):
-            if step == 2:
-                m.params["text.proj"].data = m.params["text.proj"].data + 1e-9
+        def corrupt(opt):
+            if opt.t == 2:
+                model.params["text.proj"].data = model.params["text.proj"].data + 1e-9
 
-        with pytest.raises(FreezeViolationError):
-            train(model, state, ds, self._cfg(3), on_step=corrupt)
+        with pytest.raises(FreezeViolationError), after_each_step(corrupt):
+            train(model, state, ds, self._cfg(3))
         model.params["text.proj"].data = original
 
     def test_metrics_log_schema(self, tiny_run, tmp_path):
@@ -395,12 +405,13 @@ class TestTrainLoop:
 
         after_step_one = {}
 
-        def snapshot(step, m, s):
-            after_step_one.update((n, t.data.copy()) for n, t in s.params.items())
+        def snapshot(opt):
+            after_step_one.update((n, t.data.copy()) for n, t in state.params.items())
 
         monkeypatch.setattr(training, "combined_loss", nan_at_step_two)
-        with pytest.raises(training.NonFiniteLossError, match="at step 2"):
-            train(model, state, ds, self._cfg(4), out_dir=tmp_path, on_step=snapshot)
+        with pytest.raises(training.NonFiniteLossError, match="at step 2"), \
+                after_each_step(snapshot):
+            train(model, state, ds, self._cfg(4), out_dir=tmp_path)
         assert after_step_one
         for name, arr in after_step_one.items():
             assert state.params[name].data.tobytes() == arr.tobytes(), name
